@@ -2,10 +2,11 @@
 # Builds a sanitizer preset and runs a slice of the test suite under it.
 #
 # Default preset is asan-ubsan with the schedule-cache / run-compression
-# suite (plus the randomized copy fuzzer).  Pass --preset=tsan to run the
-# ThreadSanitizer build instead; its default filter is the transport /
-# executor / split-phase suites, where the cross-thread mailbox traffic
-# lives.
+# suite (plus the randomized copy fuzzer and the suites that compare the
+# executor against the tests/oracles reference executor).  Pass
+# --preset=tsan to run the ThreadSanitizer build instead; its default
+# filter is the transport / executor / split-phase suites, where the
+# cross-thread mailbox traffic lives.
 #
 # Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [extra ctest -R regex]
 set -euo pipefail
@@ -20,7 +21,7 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_executor|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   tsan)
     BUILD_DIR=build-tsan

@@ -42,6 +42,8 @@ void ensureLocalizeMetrics() {
   reg.registerCounter("localize.deref_cache.retarget_dropped", [] {
     return static_cast<double>(g_stats.retargetDropped);
   });
+  reg.registerCounter("localize.deref_cache.expired",
+                      [] { return static_cast<double>(g_stats.expired); });
 }
 
 DerefCache::Shard* DerefCache::findShard(std::uint64_t uid) {
@@ -49,6 +51,16 @@ DerefCache::Shard* DerefCache::findShard(std::uint64_t uid) {
     if (s.uid == uid) return &s;
   }
   return nullptr;
+}
+
+void DerefCache::pruneExpired() {
+  std::erase_if(shards_, [this](const Shard& s) {
+    if (!s.live.expired()) return false;
+    total_ -= s.keys.size();
+    g_stats.expired += s.keys.size();
+    return true;
+  });
+  g_stats.entries = total_;
 }
 
 std::size_t DerefCache::lookupSorted(std::uint64_t uid,
@@ -81,10 +93,12 @@ std::size_t DerefCache::lookupSorted(std::uint64_t uid,
 }
 
 void DerefCache::insertSorted(std::uint64_t uid,
+                              std::weak_ptr<const void> live,
                               std::span<const Index> globals,
                               std::span<const ElementLoc> locs) {
   MC_CHECK(globals.size() == locs.size());
   if (globals.empty()) return;
+  pruneExpired();
   // Make room under the cap by dropping whole shards, oldest table first
   // (the incoming shard last — a batch larger than the cap still caches).
   while (total_ + globals.size() > kMaxEntries && !shards_.empty()) {
@@ -98,7 +112,7 @@ void DerefCache::insertSorted(std::uint64_t uid,
   }
   Shard* shard = findShard(uid);
   if (shard == nullptr) {
-    shards_.push_back(Shard{uid, {}, {}});
+    shards_.push_back(Shard{uid, std::move(live), {}, {}});
     shard = &shards_.back();
   }
   if (shard->keys.empty()) {
@@ -132,6 +146,7 @@ void DerefCache::insertSorted(std::uint64_t uid,
 }
 
 bool DerefCache::retarget(std::uint64_t oldUid, std::uint64_t newUid,
+                          std::weak_ptr<const void> newLive,
                           std::span<const Index> sortedMigrated) {
   if (oldUid == newUid) return false;
   // A shard already keyed by the new uid would alias the rekeyed one.
@@ -156,6 +171,7 @@ bool DerefCache::retarget(std::uint64_t oldUid, std::uint64_t newUid,
   shard->keys.resize(w);
   shard->locs.resize(w);
   shard->uid = newUid;
+  shard->live = std::move(newLive);
   total_ -= before - w;
   // The old table's shard is gone (rekeyed), which is what invalidations
   // has always counted; retargets/retargetDropped record the carry-over.

@@ -15,6 +15,11 @@
 // from a monotone process-wide counter and never reused; a new table that
 // happens to live at a recycled address cannot alias a stale shard.
 //
+// Lifetime: each shard holds its table's liveness token weakly
+// (TranslationTable::liveness); once the last copy of a table dies, the
+// next insert on this rank prunes its shard.  Pruning is lazy because the
+// cache is per-thread and a table may die on any thread.
+//
 // Storage is a sorted parallel array per table (globals ascending +
 // locations), probed with narrowing binary searches over a sorted query
 // batch and grown by linear merges — no per-element hashing anywhere.
@@ -24,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,6 +48,7 @@ struct DerefCacheStats {
   std::uint64_t entries = 0;        // current resident entries (gauge)
   std::uint64_t retargets = 0;      // shards carried across a remap
   std::uint64_t retargetDropped = 0;  // migrated entries dropped by retarget
+  std::uint64_t expired = 0;  // entries pruned because their table died
 };
 
 const DerefCacheStats& derefCacheStats();
@@ -62,8 +69,9 @@ class DerefCache {
 
   /// Merges freshly resolved locations into the table's shard.  `globals`
   /// must be sorted, duplicate-free, and disjoint from the shard (i.e. the
-  /// misses of a preceding lookupSorted).
-  void insertSorted(std::uint64_t uid,
+  /// misses of a preceding lookupSorted).  `live` is the table's liveness
+  /// token; shards whose token has expired are pruned first.
+  void insertSorted(std::uint64_t uid, std::weak_ptr<const void> live,
                     std::span<const layout::Index> globals,
                     std::span<const ElementLoc> locs);
 
@@ -76,9 +84,11 @@ class DerefCache {
   /// `sortedMigrated` (the elements whose (owner, offset) changed — see
   /// chaos::migratedGlobals).  Survivors resolve identically under the new
   /// table by the migrated-set contract, so later inspector passes against
-  /// the new table hit on every reference the remap did not move.  Returns
-  /// true when a shard was carried over.
+  /// the new table hit on every reference the remap did not move.  The
+  /// shard takes `newLive`, the new table's liveness token.  Returns true
+  /// when a shard was carried over.
   bool retarget(std::uint64_t oldUid, std::uint64_t newUid,
+                std::weak_ptr<const void> newLive,
                 std::span<const layout::Index> sortedMigrated);
 
   void clear();
@@ -88,11 +98,14 @@ class DerefCache {
  private:
   struct Shard {
     std::uint64_t uid = 0;
+    std::weak_ptr<const void> live;   // expires with the table's last copy
     std::vector<layout::Index> keys;  // sorted ascending
     std::vector<ElementLoc> locs;     // parallel to keys
   };
 
   Shard* findShard(std::uint64_t uid);
+  /// Drops the shards of tables that no longer exist.
+  void pruneExpired();
 
   // Few live tables per rank in practice: a linear scan beats a hash map.
   // Insertion order is retained so capacity eviction drops oldest first.

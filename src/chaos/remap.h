@@ -50,7 +50,8 @@ IrregArray<T> remap(const IrregArray<T>& old,
   // the new table: survivors resolve identically under it (unmigrated
   // means identical (owner, offset)), so they are carried into the new
   // table's shard and the build's own dereferences already hit.
-  derefCache().retarget(old.table().uid(), newTable->uid(), migrated);
+  derefCache().retarget(old.table().uid(), newTable->uid(),
+                        newTable->liveness(), migrated);
   IrregArray<T> fresh(comm, newTable, std::move(newMine));
   // Mapping: my old element at offset i (global g) goes to new location of
   // the same global index g.

@@ -22,6 +22,11 @@ std::uint64_t nextTableUid() {
 }
 }  // namespace
 
+void TranslationTable::mintIdentity() {
+  uid_ = nextTableUid();
+  live_ = std::make_shared<const std::uint64_t>(uid_);
+}
+
 TranslationTable TranslationTable::build(
     transport::Comm& comm, std::span<const Index> myGlobals, Index globalSize,
     Storage storage, double modeledQueryCostSeconds) {
@@ -32,7 +37,7 @@ TranslationTable TranslationTable::build(
   t.modeledQueryCost_ = modeledQueryCostSeconds;
   t.globalSize_ = globalSize;
   t.myRank_ = comm.rank();
-  t.uid_ = nextTableUid();
+  t.mintIdentity();
   const int np = comm.size();
   t.homeBlock_ = (globalSize + np - 1) / np;
   t.localCounts_ = [&] {
@@ -122,7 +127,7 @@ TranslationTable TranslationTable::replicatedFromEntries(
   TranslationTable t;
   t.storage_ = Storage::kReplicated;
   t.modeledQueryCost_ = modeledQueryCostSeconds;
-  t.uid_ = nextTableUid();
+  t.mintIdentity();
   t.globalSize_ = static_cast<Index>(entries.size());
   t.homeBlock_ = (t.globalSize_ + nprocs - 1) / nprocs;
   t.localCounts_.assign(static_cast<size_t>(nprocs), 0);
@@ -283,7 +288,7 @@ std::vector<ElementLoc> TranslationTable::dereferenceCached(
   for (std::size_t m = 0; m < missG.size(); ++m) {
     locs[missAt[m]] = missLocs[m];
   }
-  cache.insertSorted(uid_, missG, missLocs);
+  cache.insertSorted(uid_, live_, missG, missLocs);
   for (std::size_t i = 0; i < globals.size(); ++i) {
     out[i] = locs[uniqOf[i]];
   }
@@ -414,7 +419,7 @@ TranslationTable TranslationTable::deserialize(
         ElementLoc{static_cast<int>(procs[i]), offsets[i]});
   }
   // Uid remint rule (see header): never reuse the saved identity.
-  t.uid_ = nextTableUid();
+  t.mintIdentity();
   return t;
 }
 

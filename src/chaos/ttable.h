@@ -107,6 +107,11 @@ class TranslationTable {
   /// table at a recycled address cannot alias a stale entry).
   std::uint64_t uid() const { return uid_; }
 
+  /// Liveness token shared by every copy of this table (copies share the
+  /// uid too).  The dereference cache holds it weakly and drops the table's
+  /// shard once the last copy has died.
+  std::weak_ptr<const void> liveness() const { return live_; }
+
   /// Serializes the locally held table state (storage policy, extents, this
   /// processor's entry shard) to a framed blob (util/blob_io.h).  The uid is
   /// deliberately NOT serialized — see deserialize().
@@ -129,6 +134,8 @@ class TranslationTable {
 
  private:
   TranslationTable() = default;
+  /// Mints a fresh uid and liveness token (every construction path).
+  void mintIdentity();
 
   Storage storage_ = Storage::kReplicated;
   layout::Index globalSize_ = 0;
@@ -140,6 +147,7 @@ class TranslationTable {
   int myRank_ = 0;
   double modeledQueryCost_ = 0.0;
   std::uint64_t uid_ = 0;
+  std::shared_ptr<const void> live_;
 };
 
 }  // namespace mc::chaos

@@ -20,20 +20,21 @@
 // no payload heap allocations: each received buffer becomes one of the next
 // step's send buffers.  TrafficStats{bytesCopied, allocations} observe this.
 //
-// Arrival-order drain: receives match any rank of the peer program
-// (Comm::recvMsgAnyOf) and are routed to their plan by the sender's global
-// rank.  This is safe for copy semantics because builders produce *disjoint*
-// per-peer receive offsets — unpacks commute — and each (peer, tag) pair
-// carries exactly one message per run, so the MPI non-overtaking guarantee
-// is never needed across peers, only within one pair where the mailbox
-// already provides it.  Accumulating runs (runAdd) are NOT order-independent
-// (floating-point += does not commute across peers targeting the same
-// offset), so the drain stashes payloads and applies them in peer order —
-// results stay bitwise identical under any delivery interleaving.
+// Arrival-order drain (the only drain): receives match any rank of the
+// peer program (Comm::recvMsgAnyOf) and are routed to their plan by the
+// sender's global rank.  This is safe for copy semantics because builders
+// produce *disjoint* per-peer receive offsets — unpacks commute — and each
+// (peer, tag) pair carries exactly one message per run, so the MPI
+// non-overtaking guarantee is never needed across peers, only within one
+// pair where the mailbox already provides it.  Accumulating runs (runAdd)
+// are NOT order-independent (floating-point += does not commute across
+// peers targeting the same offset), so the drain stashes payloads and
+// applies them in peer order — results stay bitwise identical under any
+// delivery interleaving.
 //
-// setDrainOrder(DrainOrder::kPeer) is a debug flag restoring the old
-// peer-ordered receives; data results are identical, only the virtual-clock
-// interleaving (and wall time) differ.
+// Pack and unpack always run through the plan kernels compiled at bind
+// (kernels.h).  Node aggregation (node_agg.h) is decided per bind from the
+// world's topology: it is on exactly when Comm::hierarchicalOn() holds.
 //
 // Split-phase execution: run() is synchronous — it blocks draining every
 // receive before the caller computes a single point, so per-step time is
@@ -54,7 +55,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -65,33 +65,10 @@
 #include "sched/footprint.h"
 #include "sched/kernels.h"
 #include "sched/node_agg.h"
-#include "sched/plan_exec.h"
 #include "sched/schedule.h"
 #include "transport/comm.h"
 
 namespace mc::sched {
-
-/// How run() consumes its receives.
-enum class DrainOrder {
-  kArrival,  // any-source within the peer program, routed by sender rank
-  kPeer,     // fixed peer order (debug: fully deterministic virtual clocks)
-};
-
-namespace detail {
-inline std::atomic<DrainOrder>& drainOrderFlag() {
-  static std::atomic<DrainOrder> flag{DrainOrder::kArrival};
-  return flag;
-}
-}  // namespace detail
-
-inline DrainOrder drainOrder() {
-  return detail::drainOrderFlag().load(std::memory_order_relaxed);
-}
-/// Process-wide debug switch; set it before the world runs (it is read by
-/// every virtual processor).
-inline void setDrainOrder(DrainOrder order) {
-  detail::drainOrderFlag().store(order, std::memory_order_relaxed);
-}
 
 template <typename T>
 class Executor {
@@ -171,7 +148,7 @@ class Executor {
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/false);
     if (agg_) {
-      drainAggregated(dst, tag, /*add=*/false);
+      drainStashed(dst, tag, /*add=*/false);
     } else {
       drainCopy(dst, tag);
     }
@@ -190,11 +167,7 @@ class Executor {
                "split-phase run in flight: finish() it before runAdd()");
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/true);
-    if (agg_) {
-      drainAggregated(dst, tag, /*add=*/true);
-    } else {
-      drainAdd(dst, tag);
-    }
+    drainStashed(dst, tag, /*add=*/true);
   }
   void runAdd(std::span<const T> src, std::span<T> dst) {
     runAdd(src, dst, comm_->nextUserTag());
@@ -219,9 +192,7 @@ class Executor {
 
     /// Opportunistic non-blocking drain: consumes every message that has
     /// already arrived (stashing the payload — unpacking waits for finish),
-    /// then returns true when all receives are in.  A no-op under
-    /// DrainOrder::kPeer, whose virtual clocks must stay independent of
-    /// wall-clock arrival.
+    /// then returns true when all receives are in.
     bool poll() {
       requireActive();
       return ex_->pollPending();
@@ -352,8 +323,7 @@ class Executor {
   /// the rebind() fast path for untouched peers.
   void bindReusing(const Schedule* old, std::vector<PlanKernel>* oldSend,
                    std::vector<PlanKernel>* oldRecv) {
-    const int peerProg =
-        remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
+    const int peerProg = peerProgram();
     sendPlanBytes_.reserve(sched_->sends.size());
     for (const OffsetPlan& p : sched_->sends) {
       sendPlanBytes_.push_back(static_cast<std::size_t>(p.elementCount()) *
@@ -440,18 +410,17 @@ class Executor {
 
   // --- node aggregation -----------------------------------------------------
 
-  /// Captures the process-wide aggregation flag for this bind and derives
-  /// the per-node send grouping and receive expectations.  Intra-program
-  /// only; with aggregation on, binds are collective over the program (the
-  /// node leader learns which frames to expect via an intra-node exchange).
+  /// Decides aggregation for this bind from the world's topology
+  /// (Comm::hierarchicalOn) and derives the per-node send grouping and
+  /// receive expectations.  Intra-program only; with aggregation on, binds
+  /// are collective over the program (the node leader learns which frames
+  /// to expect via an intra-node exchange).
   void bindAggregation() {
     agg_ = false;
     directSendIdx_.clear();
     aggGroups_.clear();
-    frameSrcs_.clear();
-    directRecvPeers_.clear();
     aggExpected_ = 0;
-    if (remoteProgram_ >= 0 || !nodeAggregation()) return;
+    if (remoteProgram_ >= 0 || !comm_->hierarchicalOn()) return;
     MC_REQUIRE(alignof(T) <= 8,
                "node aggregation supports element alignment up to 8");
     agg_ = true;
@@ -465,16 +434,11 @@ class Executor {
         continue;
       }
       const int leader = comm_->leaderOfRank(plan.peer);
-      AggGroup* g = nullptr;
-      for (AggGroup& cand : aggGroups_) {
-        if (cand.leader == leader) {
-          g = &cand;
-          break;
-        }
-      }
-      if (g == nullptr) {
-        aggGroups_.push_back(AggGroup{leader, kAggMsgHeaderBytes, {}});
-        g = &aggGroups_.back();
+      auto g = std::find_if(
+          aggGroups_.begin(), aggGroups_.end(),
+          [leader](const AggGroup& a) { return a.leader == leader; });
+      if (g == aggGroups_.end()) {
+        g = aggGroups_.insert(g, AggGroup{leader, kAggMsgHeaderBytes, {}});
       }
       g->frameBytes += kAggSegHeaderBytes + sendPlanBytes_[i];
       g->planIdx.push_back(i);
@@ -483,14 +447,15 @@ class Executor {
               [](const AggGroup& a, const AggGroup& b) {
                 return a.leader < b.leader;
               });
-    // Receive expectations: same-node sources arrive directly (in plan
-    // order under kPeer); remote sources arrive inside frames at the node
-    // leader, which forwards other ranks' segments intra-node.
+    // Receive expectations: same-node sources arrive directly; remote
+    // sources arrive inside frames at the node leader, which forwards other
+    // ranks' segments intra-node.
+    std::size_t directRecvs = 0;
     std::vector<std::int32_t> myRemote;
     for (const RecvSlot& s : slots_) {
       const int srcLocal = comm_->localRankOfGlobal(s.srcGlobal);
       if (comm_->nodeOfRank(srcLocal) == myNode) {
-        directRecvPeers_.push_back(srcLocal);
+        ++directRecvs;
       } else {
         myRemote.push_back(s.srcGlobal);
       }
@@ -498,7 +463,7 @@ class Executor {
     const int tag = comm_->nextUserTag();
     if (!comm_->isNodeLeader()) {
       comm_->send(comm_->nodeLeader(), tag, myRemote);
-      aggExpected_ = directRecvPeers_.size() + myRemote.size();
+      aggExpected_ = directRecvs + myRemote.size();
     } else {
       std::vector<std::int32_t> uni = myRemote;
       for (int r : comm_->nodePeers()) {
@@ -507,64 +472,47 @@ class Executor {
             comm_->recv<std::int32_t>(r, tag);
         uni.insert(uni.end(), peerRemote.begin(), peerRemote.end());
       }
+      // One frame arrives per distinct remote source of the node.
       std::sort(uni.begin(), uni.end());
       uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
-      frameSrcs_.assign(uni.begin(), uni.end());
-      aggExpected_ = directRecvPeers_.size() + frameSrcs_.size();
+      aggExpected_ = directRecvs + uni.size();
     }
   }
 
   // --- send side ------------------------------------------------------------
 
   void packInto(std::size_t i, std::span<const T> src, std::byte* out) {
-    const OffsetPlan& plan = sched_->sends[i];
-    if (kernelDispatchEnabled()) {
-      packKernel<T>(sendKernels_[i], plan, src, reinterpret_cast<T*>(out));
-    } else {
-      packPlan<T>(plan, src, reinterpret_cast<T*>(out));
-    }
+    packKernel<T>(sendKernels_[i], sched_->sends[i], src,
+                  reinterpret_cast<T*>(out));
   }
 
-  void sendPhase(std::span<const T> src, int tag) {
-    if (agg_) {
-      sendPhaseAggregated(src, tag);
-      return;
+  /// Packs send plan i into its own message to the plan's peer.  In
+  /// aggregated mode the payload leads with a routing header.
+  void sendDirect(std::size_t i, std::span<const T> src, int tag) {
+    const std::size_t header = agg_ ? kAggMsgHeaderBytes : 0;
+    std::vector<std::byte> payload = obtainBuffer(header + sendPlanBytes_[i]);
+    if (agg_) writeAggMsgHeader(payload.data(), kAggData, comm_->globalRank());
+    {
+      obs::ScopedSpan packSpan(obs::phase::kPack);
+      comm_->compute([&] { packInto(i, src, payload.data() + header); });
     }
-    obs::ScopedSpan sendSpan(obs::phase::kSend);
-    for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
-      const OffsetPlan& plan = sched_->sends[i];
-      std::vector<std::byte> payload = obtainBuffer(sendPlanBytes_[i]);
-      {
-        obs::ScopedSpan packSpan(obs::phase::kPack);
-        comm_->compute([&] { packInto(i, src, payload.data()); });
-      }
-      if (remoteProgram_ >= 0) {
-        comm_->sendBytesTo(remoteProgram_, plan.peer, tag,
-                           std::move(payload));
-      } else {
-        comm_->sendBytes(plan.peer, tag, std::move(payload));
-      }
-    }
+    comm_->sendBytesTo(peerProgram(), sched_->sends[i].peer, tag,
+                       std::move(payload));
   }
 
-  /// Aggregated sends: same-node peers get their ordinary per-peer message
-  /// (with a routing header), every remote *node* gets exactly ONE framed
+  /// Flat: one message per send plan.  Aggregated: same-node peers get
+  /// their direct message, every remote *node* gets exactly ONE framed
   /// message addressed to its leader — so this rank emits at most nodes-1
   /// inter-node messages per schedule step.
-  void sendPhaseAggregated(std::span<const T> src, int tag) {
+  void sendPhase(std::span<const T> src, int tag) {
     obs::ScopedSpan sendSpan(obs::phase::kSend);
-    for (std::size_t i : directSendIdx_) {
-      const OffsetPlan& plan = sched_->sends[i];
-      std::vector<std::byte> payload =
-          obtainBuffer(kAggMsgHeaderBytes + sendPlanBytes_[i]);
-      writeAggMsgHeader(payload.data(), kAggData, comm_->globalRank());
-      {
-        obs::ScopedSpan packSpan(obs::phase::kPack);
-        comm_->compute(
-            [&] { packInto(i, src, payload.data() + kAggMsgHeaderBytes); });
+    if (!agg_) {
+      for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
+        sendDirect(i, src, tag);
       }
-      comm_->sendBytes(plan.peer, tag, std::move(payload));
+      return;
     }
+    for (std::size_t i : directSendIdx_) sendDirect(i, src, tag);
     for (const AggGroup& g : aggGroups_) {
       std::vector<std::byte> payload = obtainBuffer(g.frameBytes);
       writeAggMsgHeader(payload.data(), kAggFrame, comm_->globalRank());
@@ -623,8 +571,7 @@ class Executor {
   void localPhase(std::span<const T> src, std::span<T> dst, bool add) {
     obs::ScopedSpan span(obs::phase::kApply);
     comm_->compute([&] {
-      if (kernelDispatchEnabled() &&
-          localKernel_.kind == KernelKind::kIndexList) {
+      if (localKernel_.kind == KernelKind::kIndexList) {
         // Flattened local transfers; compile() only picks kIndexList when
         // element order matches copyLocalRuns exactly (see kernels.h).
         if (add) {
@@ -673,16 +620,15 @@ class Executor {
 
   // --- receive side ---------------------------------------------------------
 
-  transport::Message nextMessage(std::size_t k, int tag) {
+  /// The program this executor receives from.
+  int peerProgram() const {
+    return remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
+  }
+
+  /// Blocks for the next message of this run, whichever peer sent it.
+  transport::Message nextMessage(int tag) {
     obs::ScopedSpan span(obs::phase::kRecvWait);
-    if (drainOrder() == DrainOrder::kPeer) {
-      const int peer = sched_->recvs[k].peer;
-      return remoteProgram_ >= 0
-                 ? comm_->recvMsgFrom(remoteProgram_, peer, tag)
-                 : comm_->recvMsg(peer, tag);
-    }
-    const int prog = remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
-    return comm_->recvMsgAnyOf(prog, tag);
+    return comm_->recvMsgAnyOf(peerProgram(), tag);
   }
 
   /// Routes a drained payload to its plan by the *original* sender's global
@@ -708,28 +654,20 @@ class Executor {
                slot.bytes);
     return lo;  // slot index == plan index (both sorted by peer)
   }
-  std::size_t slotFor(const transport::Message& m) {
-    return slotForSrc(m.srcGlobal, m.payload.size());
-  }
 
   void drainCopy(std::span<T> dst, int tag) {
     ++runEpoch_;
     for (std::size_t n = 0; n < sched_->recvs.size(); ++n) {
-      transport::Message m = nextMessage(n, tag);
-      const std::size_t k = slotFor(m);
-      const OffsetPlan& plan = sched_->recvs[k];
+      transport::Message m = nextMessage(tag);
+      const std::size_t k = slotForSrc(m.srcGlobal, m.payload.size());
       // Unpack straight out of the payload — builders emit disjoint
       // per-peer receive offsets, so these unpacks commute and arrival
       // order cannot change the result.
       {
         obs::ScopedSpan span(obs::phase::kUnpack);
         comm_->compute([&] {
-          if (kernelDispatchEnabled()) {
-            unpackKernel<T>(recvKernels_[k], plan,
-                            transport::payloadView<T>(m).data(), dst);
-          } else {
-            unpackPlan<T>(plan, transport::payloadView<T>(m).data(), dst);
-          }
+          unpackKernel<T>(recvKernels_[k], sched_->recvs[k],
+                          transport::payloadView<T>(m).data(), dst);
         });
       }
       recycle(std::move(m.payload));
@@ -737,27 +675,6 @@ class Executor {
   }
 
   // --- aggregated receive side ----------------------------------------------
-
-  /// Next aggregated-mode message.  Under kPeer the receive order is fixed
-  /// for deterministic virtual clocks: direct same-node sources in plan
-  /// order, then frames in sorted-source order (leader) or the leader's
-  /// forwards in FIFO order (member).  The leader's direct sends precede
-  /// its forwards in its own program order, so the member-side FIFO per
-  /// (source, tag) pair keeps the two streams from crossing.
-  transport::Message nextAggMessage(std::size_t n, int tag) {
-    obs::ScopedSpan span(obs::phase::kRecvWait);
-    if (drainOrder() == DrainOrder::kPeer) {
-      if (n < directRecvPeers_.size()) {
-        return comm_->recvMsg(directRecvPeers_[n], tag);
-      }
-      if (comm_->isNodeLeader()) {
-        const std::size_t j = n - directRecvPeers_.size();
-        return comm_->recvMsg(comm_->localRankOfGlobal(frameSrcs_[j]), tag);
-      }
-      return comm_->recvMsg(comm_->nodeLeader(), tag);
-    }
-    return comm_->recvMsgAnyOf(comm_->program(), tag);
-  }
 
   /// Aggregated-mode intake for one message: a data payload stashes by its
   /// header's original source; a frame is split — the segment addressed to
@@ -827,16 +744,10 @@ class Executor {
       comm_->compute([&] {
         const T* payload =
             reinterpret_cast<const T*>(stash_[k].data() + stashOff_[k]);
-        if (kernelDispatchEnabled()) {
-          if (add) {
-            unpackAddKernel<T>(recvKernels_[k], plan, payload, dst);
-          } else {
-            unpackKernel<T>(recvKernels_[k], plan, payload, dst);
-          }
-        } else if (add) {
-          unpackPlanAdd<T>(plan, payload, dst);
+        if (add) {
+          unpackAddKernel<T>(recvKernels_[k], plan, payload, dst);
         } else {
-          unpackPlan<T>(plan, payload, dst);
+          unpackKernel<T>(recvKernels_[k], plan, payload, dst);
         }
       });
       recycle(std::move(stash_[k]));
@@ -845,21 +756,29 @@ class Executor {
     }
   }
 
-  void drainAggregated(std::span<T> dst, int tag, bool add) {
+  /// Verifies, sizes, and stashes one drained message by plan slot; in
+  /// aggregated mode a frame is split (and forwarded) first.
+  void stashMessage(transport::Message&& m, int tag) {
+    if (agg_) {
+      stashAggMessage(std::move(m), tag);
+    } else {
+      stash_[slotForSrc(m.srcGlobal, m.payload.size())] = std::move(m.payload);
+    }
+  }
+
+  /// Takes every message of the run as it arrives, then unpacks in plan
+  /// order: the accumulating drain (+= does not commute across peers that
+  /// hit the same offset) and the aggregated drain (segments reach this
+  /// rank through frames and forwards) both go through the stash.
+  void drainStashed(std::span<T> dst, int tag, bool add) {
     ++runEpoch_;
-    for (std::size_t n = 0; n < aggExpected_; ++n) {
-      stashAggMessage(nextAggMessage(n, tag), tag);
+    for (std::size_t n = 0; n < expectedMessages(); ++n) {
+      stashMessage(nextMessage(tag), tag);
     }
     unpackStash(dst, add);
   }
 
   // --- split-phase internals ------------------------------------------------
-
-  /// Verifies, sizes, and stashes one drained message by plan slot.
-  void stashMessage(transport::Message&& m) {
-    stash_[slotFor(m)] = std::move(m.payload);
-    ++arrived_;
-  }
 
   /// Messages one run consumes (in aggregated mode frames and forwards
   /// replace the per-peer messages, so the count differs from recvs.size()).
@@ -869,43 +788,25 @@ class Executor {
 
   bool pendingDone() const { return arrived_ == expectedMessages(); }
 
-  /// Blocking intake of one more pending message (either drain mode).
+  /// Blocking intake of one more pending message.
   void drainOnePending() {
-    if (agg_) {
-      stashAggMessage(nextAggMessage(arrived_, pendingTag_), pendingTag_);
-      ++arrived_;
-    } else {
-      stashMessage(nextMessage(arrived_, pendingTag_));
-    }
+    stashMessage(nextMessage(pendingTag_), pendingTag_);
+    ++arrived_;
   }
 
   bool pollPending() {
-    if (drainOrder() == DrainOrder::kPeer) {
-      // kPeer is the deterministic-clock debug mode: consuming messages at
-      // wall-clock-dependent moments would reorder the virtual-clock max
-      // arithmetic, so the opportunistic drain is disabled and every
-      // receive happens in finish, in peer order.
-      return pendingDone();
-    }
-    const int prog = remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
     while (!pendingDone()) {
       std::optional<transport::Message> m =
-          comm_->tryRecvMsgAnyOf(prog, pendingTag_);
+          comm_->tryRecvMsgAnyOf(peerProgram(), pendingTag_);
       if (!m.has_value()) break;
-      if (agg_) {
-        stashAggMessage(std::move(*m), pendingTag_);
-        ++arrived_;
-      } else {
-        stashMessage(std::move(*m));
-      }
+      stashMessage(std::move(*m), pendingTag_);
+      ++arrived_;
     }
     return pendingDone();
   }
 
   void finishPending(std::span<T> dst, bool add) {
-    // Drain whatever poll() did not get (blocking).  In kPeer mode nothing
-    // was stashed, so arrived_ walks the receive order exactly as the
-    // blocking drain would; in kArrival mode the index is ignored.
+    // Drain whatever poll() did not get (blocking).
     while (!pendingDone()) drainOnePending();
     localPhase(pendingSrc_, dst, add);
     // Unpack in plan order: copy unpacks commute (disjoint per-peer
@@ -939,18 +840,6 @@ class Executor {
     pendingSrc_ = {};
   }
 
-  void drainAdd(std::span<T> dst, int tag) {
-    ++runEpoch_;
-    // += does not commute across peers hitting the same offset, so take
-    // messages as they arrive but *apply* them in peer order: stash each
-    // payload in its plan's slot, then accumulate plan by plan.
-    for (std::size_t n = 0; n < sched_->recvs.size(); ++n) {
-      transport::Message m = nextMessage(n, tag);
-      stash_[slotFor(m)] = std::move(m.payload);
-    }
-    unpackStash(dst, /*add=*/true);
-  }
-
   /// One framed message to a remote node (aggregated mode).
   struct AggGroup {
     int leader = 0;               // destination node's leader (local rank)
@@ -970,16 +859,14 @@ class Executor {
   LocalKernel localKernel_;
   std::uint64_t runEpoch_ = 0;
   std::vector<std::vector<std::byte>> freeBufs_;  // recycled payloads
-  std::vector<std::vector<std::byte>> stash_;     // runAdd deferral slots
+  std::vector<std::vector<std::byte>> stash_;     // deferred-unpack slots
   std::vector<std::size_t> stashOff_;  // payload byte offset per stash slot
   std::vector<T> localStage_;  // persistent Parti local-copy staging
 
-  // Node aggregation (node_agg.h), captured at bind.
+  // Node aggregation (node_agg.h), decided at bind.
   bool agg_ = false;
   std::vector<std::size_t> directSendIdx_;  // send plans to same-node peers
   std::vector<AggGroup> aggGroups_;         // one frame per remote node
-  std::vector<int> directRecvPeers_;  // same-node sources, in plan order
-  std::vector<int> frameSrcs_;  // leader: inbound frame sources (global, sorted)
   std::size_t aggExpected_ = 0;  // messages consumed per aggregated run
 
   // Split-phase state (one run may be in flight at a time).

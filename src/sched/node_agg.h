@@ -1,4 +1,4 @@
-// Node-aggregated schedule execution: process-wide switch + wire format.
+// Node-aggregated schedule execution: wire format.
 //
 // Flat execution sends one message per (rank, remote rank) pair, so under
 // one-NIC contention the inter-node message count grows with ranks-per-node
@@ -26,31 +26,17 @@
 // Determinism: the drain stashes every payload by source slot and unpacks
 // in plan (peer) order, so both run() and runAdd() results are bitwise
 // identical to flat execution under any delivery interleaving.
+//
+// An intra-program Executor aggregates exactly when Comm::hierarchicalOn()
+// holds (the predicate the collectives read).  Its binds and rebinds are
+// then collective over the program: each node leader learns which frames
+// to expect through an intra-node exchange.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
 namespace mc::sched {
-
-namespace detail {
-inline std::atomic<bool>& nodeAggregationFlag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-}  // namespace detail
-
-inline bool nodeAggregation() {
-  return detail::nodeAggregationFlag().load(std::memory_order_relaxed);
-}
-/// Process-wide switch, captured by Executor at bind()/rebind().  With it
-/// on, executors must be constructed and rebound *collectively* (every rank
-/// of the program together, in the same order): bind performs an intra-node
-/// exchange so each node leader learns which frames to expect.
-inline void setNodeAggregation(bool on) {
-  detail::nodeAggregationFlag().store(on, std::memory_order_relaxed);
-}
 
 /// First 8 bytes of every aggregated-mode message.
 struct AggMsgHeader {

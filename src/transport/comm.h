@@ -182,6 +182,15 @@ class Comm {
   const std::vector<int>& nodeLeaders() const { return nodeLeaders_; }
   /// Number of distinct physical nodes the program spans.
   int programNodes() const { return static_cast<int>(nodeLeaders_.size()); }
+  /// The one topology predicate: true when the world is topology-aware
+  /// (NetConfig::topologyAware) and this program both spans more than one
+  /// node and packs more than one rank on some node.  Collectives then run
+  /// their two-level algorithms and schedule executors aggregate per node;
+  /// otherwise the flat algorithms already match the topology.
+  bool hierarchicalOn() const {
+    return world_->net.config().topologyAware && nodeLeaders_.size() > 1 &&
+           static_cast<int>(nodeLeaders_.size()) < size();
+  }
 
   // --- virtual clock ------------------------------------------------------
   double now() const { return clock_; }
@@ -543,15 +552,6 @@ class Comm {
   }
 
  private:
-  /// True when collectives should run the two-level (node-hierarchical)
-  /// algorithms: the flag is set and the program both spans more than one
-  /// node and packs more than one rank on some node (otherwise the flat
-  /// algorithms already match the topology).
-  bool hierarchicalOn() const {
-    return world_->net.config().hierarchicalCollectives &&
-           nodeLeaders_.size() > 1 &&
-           static_cast<int>(nodeLeaders_.size()) < size();
-  }
   /// Index of `leaderRank` in nodeLeaders_ (must be a leader).
   int leaderIndexOfRank(int leaderRank) const;
   void hierarchicalBarrier();

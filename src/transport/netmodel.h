@@ -67,12 +67,13 @@ struct NetConfig {
   std::vector<int> nodesPerProgram;
   /// When true, inter-node transfers occupy both endpoint NICs (see above).
   bool contention = false;
-  /// When true, program-scoped collectives (barrier, bcast, allgather,
-  /// allreduce) run as two-level trees: intra-node gather to the node
-  /// leader over cheap intraNode links, an inter-leader exchange, and an
-  /// intra-node fan-out.  Data results are bitwise identical to the flat
-  /// algorithms (rank-ordered merges); only the modeled clocks change.
-  bool hierarchicalCollectives = false;
+  /// When true, programs whose placement has a two-level shape
+  /// (Comm::hierarchicalOn) run program-scoped collectives as two-level
+  /// trees via the node leaders, and schedule executors send one framed
+  /// message per remote node (sched/node_agg.h).  Data results are bitwise
+  /// identical to the flat algorithms; only clocks and message counts
+  /// change.
+  bool topologyAware = false;
 };
 
 /// Computes message costs.  Stateless per message; thread safe.

@@ -1,8 +1,8 @@
 // sched::Executor: arrival-order drain correctness and determinism, the
-// zero-copy / zero-allocation steady state, aliased ghost fills, the
-// DrainOrder::kPeer debug mode, and the inter-program halves.  The old
-// peer-ordered copy-per-step executors live on as sched::reference and
-// serve as the oracle throughout.
+// zero-copy / zero-allocation steady state, aliased ghost fills, and the
+// inter-program halves.  The old peer-ordered copy-per-step executors live
+// on as sched::reference (tests/oracles) and serve as the oracle
+// throughout.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,8 +12,8 @@
 #include "chaos/localize.h"
 #include "chaos/partition.h"
 #include "parti/ghost.h"
+#include "oracles/reference_executor.h"
 #include "sched/executor.h"
-#include "sched/reference_executor.h"
 #include "transport/world.h"
 
 namespace mc::sched {
@@ -117,34 +117,6 @@ TEST(Executor, AddAppliesInPeerOrderRegardlessOfArrival) {
       }
     }
   });
-}
-
-TEST(Executor, PeerDrainModeProducesSameResults) {
-  setDrainOrder(DrainOrder::kPeer);
-  World::runSPMD(4, [](Comm& c) {
-    const Schedule copyS = starSchedule(c.rank(), c.size(), /*overlap=*/false);
-    const Schedule addS = starSchedule(c.rank(), c.size(), /*overlap=*/true);
-    Executor<double> copyEx(c, copyS);
-    Executor<double> addEx(c, addS);
-    std::vector<double> src(kPerPeer, 1e16), dst(3 * kPerPeer, 0.0);
-    if (c.rank() == 2) std::fill(src.begin(), src.end(), 1.0);
-    if (c.rank() == 3) std::fill(src.begin(), src.end(), -1e16);
-    c.resetStats();
-    copyEx.run(src, dst);
-    EXPECT_EQ(c.stats().messagesSent, copyS.sends.size());
-    EXPECT_EQ(c.stats().messagesReceived, copyS.recvs.size());
-    if (c.rank() == 0) {
-      EXPECT_EQ(dst[0], 1e16);
-      EXPECT_EQ(dst[kPerPeer], 1.0);
-      EXPECT_EQ(dst[2 * kPerPeer], -1e16);
-    }
-    std::fill(dst.begin(), dst.end(), 0.0);
-    addEx.runAdd(src, dst);
-    if (c.rank() == 0) {
-      EXPECT_EQ(dst[0], (1e16 + 1.0) + -1e16);  // peer-order accumulation
-    }
-  });
-  setDrainOrder(DrainOrder::kArrival);
 }
 
 TEST(Executor, AliasedGhostFillMatchesReferenceExecutor) {

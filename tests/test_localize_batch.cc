@@ -5,11 +5,14 @@
 // pattern — duplicates, all-local, all-remote, empty ranks, single
 // elements, adversarial owner skew — over random translation tables under
 // both storage policies.  Plus the dereference-cache contract: hit/miss
-// accounting via obs snapshot diffs, uid keying across live tables, and
-// the stale-cache regression (chaos::remap invalidates the old table's
-// shard on every rank).
+// accounting via obs snapshot diffs, uid keying across live tables, the
+// stale-cache regression (chaos::remap invalidates the old table's shard on
+// every rank), and shard lifetime (a dead table's shard is pruned, a
+// remapped one survives with its new table).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <random>
 
@@ -267,6 +270,93 @@ TEST(DerefCache, RemapInvalidatesOldTableShard) {
         obs::threadRegistry().snapshot() - prime;
     EXPECT_EQ(primeDiff.get("localize.deref_cache.misses"),
               static_cast<double>(refs.size()));
+  });
+}
+
+size_t distinctCount(std::vector<Index> refs) {
+  std::sort(refs.begin(), refs.end());
+  return static_cast<size_t>(
+      std::unique(refs.begin(), refs.end()) - refs.begin());
+}
+
+// A table built per epoch must not leave its shard behind: once table A is
+// gone, the next insert (table B's misses) prunes A's shard, so the cache
+// holds exactly B's distinct references.
+TEST(DerefCache, DeadTableShardIsPrunedAtNextInsert) {
+  World::runSPMD(4, [](Comm& c) {
+    const Index n = 160;
+    derefCache().clear();
+    std::vector<Index> refsA, refsB;
+    for (Index g = c.rank(); g < n; g += 2) refsA.push_back(g);
+    for (Index g = 0; g < n; g += 3) refsB.push_back((g * 7 + c.rank()) % n);
+    refsB.push_back(refsB.front());  // a duplicate counts once
+    {
+      const auto tableA = TranslationTable::build(
+          c, randomPartition(n, c.size(), c.rank(), 61), n,
+          Storage::kDistributed);
+      (void)tableA.dereferenceCached(c, refsA);
+      EXPECT_EQ(derefCacheStats().entries, distinctCount(refsA));
+    }
+    const auto tableB = TranslationTable::build(
+        c, randomPartition(n, c.size(), c.rank(), 62), n,
+        Storage::kDistributed);
+    const std::uint64_t expiredBefore = derefCacheStats().expired;
+    EXPECT_EQ(tableB.dereferenceCached(c, refsB),
+              tableB.dereference(c, refsB));
+    EXPECT_EQ(derefCacheStats().entries, distinctCount(refsB));
+    EXPECT_EQ(derefCacheStats().expired - expiredBefore,
+              distinctCount(refsA));
+  });
+}
+
+// remap hands the old table's shard to the new table, liveness included:
+// the shard outlives the old table and its survivors still hit.
+TEST(DerefCache, RetargetedShardSurvivesOldTable) {
+  World::runSPMD(4, [](Comm& c) {
+    const Index n = 128;
+    derefCache().clear();
+    std::vector<std::vector<Index>> mine;
+    for (int r = 0; r < c.size(); ++r) {
+      mine.push_back(randomPartition(n, c.size(), r, 71));
+    }
+    // One element moves: rank 0's last goes to the end of rank 1's list,
+    // so no other element changes (owner, offset).
+    std::vector<std::vector<Index>> next = mine;
+    const Index moved = next[0].back();
+    next[0].pop_back();
+    next[1].push_back(moved);
+    const auto& myOld = mine[static_cast<size_t>(c.rank())];
+    // References this rank's remap build never touches: other ranks'
+    // elements (the build dereferences only this rank's old globals).
+    std::vector<Index> refs;
+    for (Index g = 0; g < n; ++g) {
+      if (std::find(myOld.begin(), myOld.end(), g) == myOld.end()) {
+        refs.push_back(g);
+      }
+    }
+    auto table = std::make_shared<const TranslationTable>(
+        TranslationTable::build(c, myOld, n, Storage::kDistributed));
+    auto arr = std::make_unique<IrregArray<double>>(c, table, myOld);
+    (void)table->dereferenceCached(c, refs);
+    std::vector<Index> migrated;
+    IrregArray<double> after =
+        remap(*arr, next[static_cast<size_t>(c.rank())],
+              Storage::kDistributed, &migrated);
+    EXPECT_EQ(migrated, std::vector<Index>{moved});
+    arr.reset();
+    table.reset();  // the old table's last copy dies
+    // Force a prune: any insert on this rank runs it.
+    const auto other = TranslationTable::build(
+        c, myOld, n, Storage::kReplicated);
+    (void)other.dereferenceCached(c, std::vector<Index>{0});
+    const DerefCacheStats before = derefCacheStats();
+    EXPECT_EQ(after.table().dereferenceCached(c, refs),
+              after.table().dereference(c, refs));
+    const size_t refsMigrated =
+        std::count(refs.begin(), refs.end(), moved);
+    EXPECT_EQ(derefCacheStats().hits - before.hits,
+              refs.size() - refsMigrated);
+    EXPECT_EQ(derefCacheStats().misses - before.misses, refsMigrated);
   });
 }
 

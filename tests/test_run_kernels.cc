@@ -3,20 +3,21 @@
 // element-wise oracle and to the sched::reference executors on randomized
 // (start,count,stride) runs — including stride 0, stride 1, and negative
 // strides — with aliased src/dst buffers guarded by Footprint, and with
-// float `+=` staying bitwise deterministic under both DrainOrder modes.
+// float `+=` staying bitwise deterministic under shuffled arrival order.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <random>
 #include <thread>
 
 #include "chaos/localize.h"
 #include "chaos/partition.h"
 #include "obs/metrics.h"
+#include "oracles/reference_executor.h"
 #include "sched/executor.h"
 #include "sched/footprint.h"
 #include "sched/kernels.h"
-#include "sched/reference_executor.h"
 #include "transport/world.h"
 
 namespace mc::sched {
@@ -225,7 +226,7 @@ TEST(KernelExecutor, IrregularGatherMatchesReferenceBitwise) {
   });
 }
 
-TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
+TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderShuffledArrival) {
   World::runSPMD(4, [](Comm& c) {
     const Index n = 120;
     const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 5);
@@ -245,24 +246,16 @@ TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
 
     Executor<double> ex(c, loc.scatterAddSched);
     std::vector<double> owned(mine.size());
-    for (const DrainOrder order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
-      c.barrier();
-      if (c.rank() == 0) setDrainOrder(order);
-      c.barrier();
-      for (int it = 0; it < 4; ++it) {
-        std::fill(owned.begin(), owned.end(), 0.125);
-        // Shuffle real arrival order across iterations.
-        if (c.rank() > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              ((c.rank() + it) % 3) * 3));
-        }
-        ex.runAdd(ghost, owned);
-        EXPECT_EQ(owned, ownedRef) << "iteration " << it;
+    for (int it = 0; it < 8; ++it) {
+      std::fill(owned.begin(), owned.end(), 0.125);
+      // Shuffle real arrival order across iterations.
+      if (c.rank() > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(((c.rank() + it) % 3) * 3));
       }
+      ex.runAdd(ghost, owned);
+      EXPECT_EQ(owned, ownedRef) << "iteration " << it;
     }
-    c.barrier();
-    if (c.rank() == 0) setDrainOrder(DrainOrder::kArrival);
-    c.barrier();
   });
 }
 
@@ -310,7 +303,9 @@ TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {
   });
 }
 
-TEST(KernelExecutor, DispatchToggleDoesNotChangeResults) {
+// The compiled kernels against the run-wise reference executor, on the
+// irregular gather whose plans dispatch to every kernel kind.
+TEST(KernelExecutor, KernelsMatchReferenceExecutorBitwise) {
   World::runSPMD(4, [](Comm& c) {
     const Index n = 128;
     const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 15);
@@ -324,20 +319,12 @@ TEST(KernelExecutor, DispatchToggleDoesNotChangeResults) {
       owned[i] = 3.0 * c.rank() + 0.5 * static_cast<double>(i);
     }
     std::vector<double> withKernels(static_cast<size_t>(loc.ghostCount));
-    std::vector<double> without(withKernels);
-
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(true);
-    c.barrier();
+    std::vector<double> oracle(withKernels);
     ex.run(owned, withKernels);
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(false);
-    c.barrier();
-    ex.run(owned, without);
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(true);
-    c.barrier();
-    EXPECT_EQ(withKernels, without);
+    reference::execute<double>(c, loc.gatherSched, owned, oracle,
+                               c.nextUserTag());
+    EXPECT_EQ(0, std::memcmp(withKernels.data(), oracle.data(),
+                             oracle.size() * sizeof(double)));
   });
 }
 

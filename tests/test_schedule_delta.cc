@@ -8,6 +8,7 @@
 // dereference cache's selective retarget across a remap.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "chaos/migration.h"
@@ -18,6 +19,7 @@
 #include "core/schedule_cache.h"
 #include "hpfrt/hpf_array.h"
 #include "layout/dist_delta.h"
+#include "oracles/reference_executor.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -246,6 +248,13 @@ struct Scenario {
                            c.nextUserTag());
     return dstArr->gatherGlobal();
   }
+  /// The same move through the copy-per-step reference executor.
+  std::vector<double> referenceExecuted(Comm& c, const McSchedule& sched) {
+    dstArr->fillByPoint([](const Point&) { return -1.0; });
+    sched::reference::execute<double>(c, sched.plan, newArr->raw(),
+                                      dstArr->raw(), c.nextUserTag());
+    return dstArr->gatherGlobal();
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -359,28 +368,29 @@ TEST(ScheduleDelta, ReversedSchedulesAreNotPatchable) {
   });
 }
 
-// Execution equality under every drain-order x kernel-dispatch combination.
-TEST(ScheduleDelta, ExecutionBitwiseUnderAllModes) {
-  for (const auto order : {sched::DrainOrder::kArrival,
-                           sched::DrainOrder::kPeer}) {
-    for (const bool kernels : {true, false}) {
-      sched::setDrainOrder(order);
-      sched::setKernelDispatch(kernels);
-      World::runSPMD(kProcs, [](Comm& c) {
-        Scenario s(c, 13u, 6);
-        const McSchedule old =
-            computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
-        const DistDelta delta = computeDelta(s.oldSrc, s.newSrc, s.srcSet);
-        const McSchedule patched = patchSchedule(c, old, delta, s.newSrc,
-                                                 s.srcSet, s.dst, s.dstSet);
-        const McSchedule fresh =
-            computeSchedule(c, s.newSrc, s.srcSet, s.dst, s.dstSet);
-        EXPECT_EQ(s.executed(c, patched), s.executed(c, fresh));
-      });
-    }
-  }
-  sched::setDrainOrder(sched::DrainOrder::kArrival);
-  sched::setKernelDispatch(true);
+// Executor results for patched and fresh schedules are bitwise equal to
+// the copy-per-step reference executor (tests/oracles) on either schedule.
+TEST(ScheduleDelta, ExecutionBitwiseAgainstReferenceExecutor) {
+  World::runSPMD(kProcs, [](Comm& c) {
+    Scenario s(c, 13u, 6);
+    const McSchedule old =
+        computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
+    const DistDelta delta = computeDelta(s.oldSrc, s.newSrc, s.srcSet);
+    const McSchedule patched =
+        patchSchedule(c, old, delta, s.newSrc, s.srcSet, s.dst, s.dstSet);
+    const McSchedule fresh =
+        computeSchedule(c, s.newSrc, s.srcSet, s.dst, s.dstSet);
+    const std::vector<double> oracle = s.referenceExecuted(c, fresh);
+    const std::vector<double> viaPatched = s.executed(c, patched);
+    const std::vector<double> viaFresh = s.executed(c, fresh);
+    ASSERT_EQ(viaPatched.size(), oracle.size());
+    ASSERT_EQ(viaFresh.size(), oracle.size());
+    EXPECT_EQ(0, std::memcmp(viaPatched.data(), oracle.data(),
+                             oracle.size() * sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(viaFresh.data(), oracle.data(),
+                             oracle.size() * sizeof(double)));
+    EXPECT_EQ(s.referenceExecuted(c, patched), oracle);
+  });
 }
 
 // The element-wise reference pipeline records the same provenance as the
@@ -621,9 +631,11 @@ TEST(ScheduleDelta, DerefCacheRetargetKeepsSurvivors) {
   const std::vector<Index> keys = {2, 5, 9, 14};
   const std::vector<chaos::ElementLoc> locs = {
       {0, 10}, {1, 20}, {2, 30}, {3, 40}};
-  cache.insertSorted(9001, keys, locs);
+  const auto oldTable = std::make_shared<const int>(0);
+  const auto newTable = std::make_shared<const int>(0);
+  cache.insertSorted(9001, oldTable, keys, locs);
   const std::vector<Index> migrated = {5, 11, 14};
-  EXPECT_TRUE(cache.retarget(9001, 9002, migrated));
+  EXPECT_TRUE(cache.retarget(9001, 9002, newTable, migrated));
   EXPECT_EQ(cache.entryCount(), 2u);
   // Old uid: everything misses (the shard was rekeyed).
   std::vector<chaos::ElementLoc> out(keys.size());

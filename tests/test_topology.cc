@@ -1,9 +1,11 @@
-// Topology layer: Comm placement accessors, hierarchical (two-level)
-// collectives vs the flat algorithms (bitwise differential, including
-// inter-program worlds), node-aggregated schedule execution vs flat
-// execution (fuzzed run()/runAdd() in both drain orders, split-phase), the
-// per-link-class message invariants (<= nodes-1 inter-node messages per
-// rank per schedule step), and the alltoall pairwise rotation.
+// Topology layer: Comm placement accessors, topology-aware worlds
+// (NetConfig::topologyAware) against flat worlds — two-level collectives
+// (bitwise differential, including inter-program worlds) and
+// node-aggregated schedule execution (fuzzed run()/runAdd(), split-phase,
+// rebind) — the placements that must stay flat even when the world is
+// topology-aware, the per-link-class message invariants (<= nodes-1
+// inter-node messages per rank per schedule step), and the alltoall
+// pairwise rotation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -29,22 +31,11 @@ using transport::NetConfig;
 using transport::World;
 using transport::WorldOptions;
 
-/// Restores the process-wide aggregation flag even when an assertion fires.
-struct AggFlagGuard {
-  explicit AggFlagGuard(bool on) { sched::setNodeAggregation(on); }
-  ~AggFlagGuard() { sched::setNodeAggregation(false); }
-};
-
-struct DrainOrderGuard {
-  explicit DrainOrderGuard(sched::DrainOrder o) { sched::setDrainOrder(o); }
-  ~DrainOrderGuard() { sched::setDrainOrder(sched::DrainOrder::kArrival); }
-};
-
-WorldOptions nodesOptions(int nodes, bool hierarchical = false,
+WorldOptions nodesOptions(int nodes, bool topologyAware = false,
                           bool contention = false) {
   WorldOptions options;
   options.net.nodesPerProgram = {nodes};
-  options.net.hierarchicalCollectives = hierarchical;
+  options.net.topologyAware = topologyAware;
   options.net.contention = contention;
   return options;
 }
@@ -153,7 +144,7 @@ std::vector<std::vector<std::byte>> runInterProgramWorkload(
   std::vector<std::vector<std::byte>> results(10);
   WorldOptions options;
   options.net.nodesPerProgram = {2, 3};
-  options.net.hierarchicalCollectives = hierarchical;
+  options.net.topologyAware = hierarchical;
   const auto body = [&results](Comm& c) {
     std::vector<std::byte>& out =
         results[static_cast<size_t>(c.globalRank())];
@@ -208,7 +199,7 @@ TEST(Topology, AlltoallRotationDeliversCorrectRows) {
           EXPECT_EQ(row[1], r * 100 + c.rank() + 50);
         }
       },
-      nodesOptions(2, /*hierarchical=*/false, /*contention=*/true));
+      nodesOptions(2, /*topologyAware=*/false, /*contention=*/true));
 }
 
 // --- node-aggregated schedule execution --------------------------------------
@@ -266,12 +257,12 @@ void staggeredSleep(int rank, int iteration) {
 }
 
 /// Runs the fuzzed schedule `iters` times through one executor and returns
-/// each rank's final dst bytes.
+/// each rank's final dst bytes.  `aware` makes the world topology-aware, so
+/// executors aggregate wherever the placement calls for it.
 std::vector<std::vector<double>> runFuzzWorld(unsigned seed, int nprocs,
-                                              int nodes, bool aggregated,
+                                              int nodes, bool aware,
                                               bool add, int iters) {
   std::vector<std::vector<double>> results(static_cast<size_t>(nprocs));
-  AggFlagGuard agg(aggregated);
   World::runSPMD(
       nprocs,
       [&results, seed, add, iters](Comm& c) {
@@ -295,7 +286,7 @@ std::vector<std::vector<double>> runFuzzWorld(unsigned seed, int nprocs,
         }
         results[static_cast<size_t>(c.rank())] = dst;
       },
-      nodesOptions(nodes));
+      nodesOptions(nodes, aware));
   return results;
 }
 
@@ -311,54 +302,108 @@ void expectBitwiseEqual(const std::vector<std::vector<double>>& a,
 }
 
 TEST(Topology, AggregatedRunMatchesFlatBitwise) {
-  for (const auto order :
-       {sched::DrainOrder::kArrival, sched::DrainOrder::kPeer}) {
-    DrainOrderGuard guard(order);
-    for (unsigned seed : {1u, 2u, 3u}) {
-      const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/false, /*iters=*/4);
-      const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/false, /*iters=*/4);
-      expectBitwiseEqual(flat, agg);
-    }
+  for (unsigned seed : {1u, 2u, 3u}) {
+    const auto flat = runFuzzWorld(seed, 8, 3, /*aware=*/false,
+                                   /*add=*/false, /*iters=*/4);
+    const auto agg = runFuzzWorld(seed, 8, 3, /*aware=*/true,
+                                  /*add=*/false, /*iters=*/4);
+    expectBitwiseEqual(flat, agg);
   }
 }
 
 TEST(Topology, AggregatedRunAddMatchesFlatBitwise) {
-  for (const auto order :
-       {sched::DrainOrder::kArrival, sched::DrainOrder::kPeer}) {
-    DrainOrderGuard guard(order);
-    for (unsigned seed : {4u, 5u, 6u}) {
-      // Overlapping receive offsets: float += only matches bitwise when
-      // contributions apply in peer order on both paths.
-      const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/true, /*iters=*/4);
-      const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/true, /*iters=*/4);
-      expectBitwiseEqual(flat, agg);
-    }
+  for (unsigned seed : {4u, 5u, 6u}) {
+    // Overlapping receive offsets: float += only matches bitwise when
+    // contributions apply in peer order on both paths.
+    const auto flat = runFuzzWorld(seed, 8, 3, /*aware=*/false,
+                                   /*add=*/true, /*iters=*/4);
+    const auto agg = runFuzzWorld(seed, 8, 3, /*aware=*/true,
+                                  /*add=*/true, /*iters=*/4);
+    expectBitwiseEqual(flat, agg);
   }
 }
 
 TEST(Topology, AggregatedSingleNodeAndDistributedEdges) {
-  // nodes == 1 (everything direct, no frames) and nodes == nprocs (every
-  // remote peer is its own frame) both stay bitwise identical.
+  // nodes == 1 and nodes == nprocs: a topology-aware world runs these flat
+  // (see FlatPlacementsIgnoreTopologyAwareness), bitwise identically.
   for (int nodes : {1, 6}) {
     const auto flat =
-        runFuzzWorld(7u, 6, nodes, /*aggregated=*/false, /*add=*/true, 3);
+        runFuzzWorld(7u, 6, nodes, /*aware=*/false, /*add=*/true, 3);
     const auto agg =
-        runFuzzWorld(7u, 6, nodes, /*aggregated=*/true, /*add=*/true, 3);
+        runFuzzWorld(7u, 6, nodes, /*aware=*/true, /*add=*/true, 3);
     expectBitwiseEqual(flat, agg);
+  }
+}
+
+/// Every rank sends 2 elements to every other rank; rank r's block lands
+/// at dst[2 * (r < me ? r : r - 1)].
+Schedule allToAllSchedule(const Comm& c) {
+  Schedule s;
+  s.bufferLocalCopies = false;
+  for (int r = 0; r < c.size(); ++r) {
+    if (r == c.rank()) continue;
+    OffsetPlan snd;
+    snd.peer = r;
+    snd.offsets = {0, 1};
+    s.sends.push_back(std::move(snd));
+    OffsetPlan rcv;
+    rcv.peer = r;
+    const Index base = static_cast<Index>(2 * (r < c.rank() ? r : r - 1));
+    rcv.offsets = {base, base + 1};
+    s.recvs.push_back(std::move(rcv));
+  }
+  return s;
+}
+
+/// Per-rank traffic of binding and running one all-to-all executor step
+/// plus one allreduce, in a world of `nprocs` ranks on `nodes` nodes.
+std::vector<transport::TrafficStats> allToAllStepTraffic(int nprocs,
+                                                         int nodes,
+                                                         bool aware) {
+  std::vector<transport::TrafficStats> out(static_cast<size_t>(nprocs));
+  World::runSPMD(
+      nprocs,
+      [&out](Comm& c) {
+        const Schedule s = allToAllSchedule(c);
+        const auto before = c.stats();
+        Executor<double> ex(c, s);
+        std::vector<double> src(2, 1.0 * c.rank());
+        std::vector<double> dst(2 * static_cast<size_t>(c.size() - 1), 0.0);
+        ex.run(src, dst);
+        (void)c.allreduceSum(1.0);
+        out[static_cast<size_t>(c.rank())] = c.stats() - before;
+      },
+      nodesOptions(nodes, aware, /*contention=*/true));
+  return out;
+}
+
+// With one node, or one rank per node, the two-level scheme has nothing to
+// exploit: a topology-aware world must send exactly the flat world's
+// messages (no bind-time exchange, no frames) and forward nothing.
+TEST(Topology, FlatPlacementsIgnoreTopologyAwareness) {
+  constexpr int kProcs = 6;
+  for (int nodes : {1, kProcs}) {
+    const auto flat = allToAllStepTraffic(kProcs, nodes, /*aware=*/false);
+    const auto aware = allToAllStepTraffic(kProcs, nodes, /*aware=*/true);
+    for (int r = 0; r < kProcs; ++r) {
+      const auto& f = flat[static_cast<size_t>(r)];
+      const auto& a = aware[static_cast<size_t>(r)];
+      EXPECT_EQ(a.messagesSent, f.messagesSent) << "nodes " << nodes;
+      EXPECT_EQ(a.bytesSent, f.bytesSent) << "nodes " << nodes;
+      EXPECT_EQ(a.interNodeMessages, f.interNodeMessages) << "nodes " << nodes;
+      EXPECT_EQ(a.intraNodeMessages, f.intraNodeMessages) << "nodes " << nodes;
+      EXPECT_EQ(a.forwardedMessages, 0u) << "nodes " << nodes;
+      EXPECT_EQ(a.forwardedBytes, 0u) << "nodes " << nodes;
+    }
   }
 }
 
 /// Split-phase with aggregation: poll-while-computing, finish/finishAdd,
 /// and a cancelled Pending followed by a clean run.
 std::vector<std::vector<double>> runSplitPhaseWorld(unsigned seed,
-                                                    bool aggregated) {
+                                                    bool aware) {
   const int kProcs = 8;
   std::vector<std::vector<double>> results(kProcs);
-  AggFlagGuard agg(aggregated);
   World::runSPMD(
       kProcs,
       [&results, seed](Comm& c) {
@@ -390,7 +435,7 @@ std::vector<std::vector<double>> runSplitPhaseWorld(unsigned seed,
         pending.finishAdd(dst);
         results[static_cast<size_t>(c.rank())] = dst;
       },
-      nodesOptions(3));
+      nodesOptions(3, aware));
   return results;
 }
 
@@ -407,25 +452,10 @@ TEST(Topology, AggregatedInterNodeMessageInvariant) {
   constexpr int kProcs = 8;
   constexpr int kNodes = 2;
   for (bool aggregated : {false, true}) {
-    AggFlagGuard agg(aggregated);
     World::runSPMD(
         kProcs,
         [aggregated](Comm& c) {
-          Schedule s;
-          s.bufferLocalCopies = false;
-          for (int r = 0; r < c.size(); ++r) {
-            if (r == c.rank()) continue;
-            OffsetPlan snd;
-            snd.peer = r;
-            snd.offsets = {0, 1};
-            s.sends.push_back(std::move(snd));
-            OffsetPlan rcv;
-            rcv.peer = r;
-            const Index base =
-                static_cast<Index>(2 * (r < c.rank() ? r : r - 1));
-            rcv.offsets = {base, base + 1};
-            s.recvs.push_back(std::move(rcv));
-          }
+          const Schedule s = allToAllSchedule(c);
           Executor<double> ex(c, s);
           std::vector<double> src(2, 1.0 * c.rank());
           std::vector<double> dst(2 * (kProcs - 1), 0.0);
@@ -465,14 +495,14 @@ TEST(Topology, AggregatedInterNodeMessageInvariant) {
             EXPECT_EQ(dst[base + 1], 1.0 * r);
           }
         },
-        nodesOptions(kNodes, /*hierarchical=*/false, /*contention=*/true));
+        nodesOptions(kNodes, /*topologyAware=*/aggregated,
+                     /*contention=*/true));
   }
 }
 
 /// Rebinding an aggregated executor re-derives the node grouping (and the
 /// leader's expected-frame set) collectively.
 TEST(Topology, AggregatedRebindStaysCorrect) {
-  AggFlagGuard agg(true);
   World::runSPMD(
       6,
       [](Comm& c) {
@@ -491,16 +521,16 @@ TEST(Topology, AggregatedRebindStaysCorrect) {
         ex.rebind(s2);
         std::vector<double> dst2(dstLen2, 0.0);
         ex.run(src, dst2);
-        // Oracle: fresh flat-equivalent executors produce the same bytes.
-        // (The aggregation flag is still on, so these are also aggregated —
-        // the point is the rebind path, exercised against fresh binds.)
+        // Oracle: a fresh bind produces the same bytes.  (The world is
+        // topology-aware, so it aggregates too — the point is the rebind
+        // path, exercised against fresh binds.)
         Executor<double> ex2(c, s2);
         std::vector<double> dst2b(dstLen2, 0.0);
         ex2.run(src, dst2b);
         EXPECT_EQ(0, std::memcmp(dst2.data(), dst2b.data(),
                                  dst2.size() * sizeof(double)));
       },
-      nodesOptions(2));
+      nodesOptions(2, /*topologyAware=*/true));
 }
 
 }  // namespace
