@@ -21,11 +21,11 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_executor|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_executor|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

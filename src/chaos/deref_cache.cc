@@ -39,8 +39,8 @@ void ensureLocalizeMetrics() {
                       [] { return static_cast<double>(g_stats.entries); });
   reg.registerCounter("localize.deref_cache.retargets",
                       [] { return static_cast<double>(g_stats.retargets); });
-  reg.registerCounter("localize.deref_cache.retarget_dropped", [] {
-    return static_cast<double>(g_stats.retargetDropped);
+  reg.registerCounter("localize.deref_cache.retarget_updated", [] {
+    return static_cast<double>(g_stats.retargetUpdated);
   });
   reg.registerCounter("localize.deref_cache.expired",
                       [] { return static_cast<double>(g_stats.expired); });
@@ -147,38 +147,33 @@ void DerefCache::insertSorted(std::uint64_t uid,
 
 bool DerefCache::retarget(std::uint64_t oldUid, std::uint64_t newUid,
                           std::weak_ptr<const void> newLive,
-                          std::span<const Index> sortedMigrated) {
+                          std::span<const Migrant> sortedMigrants) {
   if (oldUid == newUid) return false;
+  MC_REQUIRE(std::all_of(sortedMigrants.begin(), sortedMigrants.end(),
+                         [](const Migrant& m) { return m.toProc >= 0; }),
+             "retarget needs every migrant's new owner");
   // A shard already keyed by the new uid would alias the rekeyed one.
   // Cannot happen in practice (uids are minted at table build, before any
   // lookup), but drop it defensively.
   invalidate(newUid);
   Shard* shard = findShard(oldUid);
   if (shard == nullptr) return false;
-  const std::size_t before = shard->keys.size();
-  // In-place two-pointer filter: both the shard keys and the migrated list
-  // ascend.
-  std::size_t w = 0;
-  std::size_t m = 0;
-  for (std::size_t r = 0; r < shard->keys.size(); ++r) {
-    const Index g = shard->keys[r];
-    while (m < sortedMigrated.size() && sortedMigrated[m] < g) ++m;
-    if (m < sortedMigrated.size() && sortedMigrated[m] == g) continue;
-    shard->keys[w] = g;
-    shard->locs[w] = shard->locs[r];
-    ++w;
+  // Two-pointer pass: both the shard keys and the migrants ascend.  Keys
+  // never change, so the shard stays sorted.
+  std::size_t r = 0;
+  for (const Migrant& mig : sortedMigrants) {
+    while (r < shard->keys.size() && shard->keys[r] < mig.global) ++r;
+    if (r == shard->keys.size()) break;
+    if (shard->keys[r] != mig.global) continue;
+    shard->locs[r] = mig.to();
+    ++g_stats.retargetUpdated;
   }
-  shard->keys.resize(w);
-  shard->locs.resize(w);
   shard->uid = newUid;
   shard->live = std::move(newLive);
-  total_ -= before - w;
   // The old table's shard is gone (rekeyed), which is what invalidations
-  // has always counted; retargets/retargetDropped record the carry-over.
+  // has always counted; retargets/retargetUpdated record the carry-over.
   ++g_stats.invalidations;
   ++g_stats.retargets;
-  g_stats.retargetDropped += before - w;
-  g_stats.entries = total_;
   return true;
 }
 

@@ -10,10 +10,13 @@
 //
 // Invalidation contract: a table's entries are immutable after build, so a
 // cached location can only go stale when the *data* migrates — i.e. at
-// chaos::remap, which drops the old table's shard on every participating
-// rank (remap is collective, so the invalidation is too).  uids are minted
-// from a monotone process-wide counter and never reused; a new table that
-// happens to live at a recycled address cannot alias a stale shard.
+// chaos::remap, which hands the old table's shard to the new table on every
+// participating rank (remap is collective, so the hand-over is too) and
+// rewrites the migrants' entries in place from the remap's migrant records
+// (retarget).  Every entry that survives a remap therefore equals what the
+// new table would answer, and remap itself dereferences nothing.  uids are
+// minted from a monotone process-wide counter and never reused; a new table
+// that happens to live at a recycled address cannot alias a stale shard.
 //
 // Lifetime: each shard holds its table's liveness token weakly
 // (TranslationTable::liveness); once the last copy of a table dies, the
@@ -47,7 +50,7 @@ struct DerefCacheStats {
   std::uint64_t evictions = 0;      // entries dropped by the capacity cap
   std::uint64_t entries = 0;        // current resident entries (gauge)
   std::uint64_t retargets = 0;      // shards carried across a remap
-  std::uint64_t retargetDropped = 0;  // migrated entries dropped by retarget
+  std::uint64_t retargetUpdated = 0;  // migrant entries rewritten by retarget
   std::uint64_t expired = 0;  // entries pruned because their table died
 };
 
@@ -76,20 +79,21 @@ class DerefCache {
                     std::span<const ElementLoc> locs);
 
   /// Drops every entry cached for the table; returns true if any existed.
-  /// chaos::remap calls this for the table it replaces.
   bool invalidate(std::uint64_t uid);
 
-  /// Selective remap invalidation: rekeys the old table's shard to the new
-  /// table's uid, dropping only the entries whose global index is in
-  /// `sortedMigrated` (the elements whose (owner, offset) changed — see
-  /// chaos::migratedGlobals).  Survivors resolve identically under the new
-  /// table by the migrated-set contract, so later inspector passes against
-  /// the new table hit on every reference the remap did not move.  The
-  /// shard takes `newLive`, the new table's liveness token.  Returns true
-  /// when a shard was carried over.
+  /// Remap hand-over: rekeys the old table's shard to the new table's uid
+  /// and rewrites every cached entry that `sortedMigrants` names (sorted by
+  /// global — chaos::migrantRecords) with its new (owner, offset).  Every
+  /// migrant must have a new owner (a complete new assignment, as
+  /// TranslationTable::patched checks).  Survivors resolve identically
+  /// under the new table by the migrant-set contract, so after the
+  /// hand-over every cached entry equals the new table's answer and later
+  /// inspector passes hit on every reference cached before the remap,
+  /// moved or not.  The shard takes `newLive`, the new table's liveness
+  /// token.  Returns true when a shard was carried over.
   bool retarget(std::uint64_t oldUid, std::uint64_t newUid,
                 std::weak_ptr<const void> newLive,
-                std::span<const layout::Index> sortedMigrated);
+                std::span<const Migrant> sortedMigrants);
 
   void clear();
 

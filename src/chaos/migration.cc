@@ -17,63 +17,81 @@ struct GlobalOffset {
 
 /// Routes an assignment to block-home ranks: home(g) = g / homeBlock.
 std::vector<std::vector<GlobalOffset>> routeToHomes(
-    std::span<const Index> mine, Index homeBlock, int nprocs) {
+    std::span<const Index> mine, Index globalSize, Index homeBlock,
+    int nprocs) {
   std::vector<std::vector<GlobalOffset>> rows(
       static_cast<std::size_t>(nprocs));
   for (std::size_t i = 0; i < mine.size(); ++i) {
     const Index g = mine[i];
+    MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
+               static_cast<long long>(g));
     rows[static_cast<std::size_t>(g / homeBlock)].push_back(
         GlobalOffset{g, static_cast<Index>(i)});
   }
   return rows;
 }
 
+/// Each home-slice slot's claim in one assignment; proc -1 = unclaimed.
+std::vector<ElementLoc> claimsAt(
+    const std::vector<std::vector<GlobalOffset>>& byRank, Index myLo,
+    Index myHi) {
+  std::vector<ElementLoc> loc(static_cast<std::size_t>(myHi - myLo));
+  for (std::size_t r = 0; r < byRank.size(); ++r) {
+    for (const GlobalOffset& e : byRank[r]) {
+      ElementLoc& slot = loc[static_cast<std::size_t>(e.g - myLo)];
+      MC_REQUIRE(slot.proc == -1, "global index %lld owned twice",
+                 static_cast<long long>(e.g));
+      slot = ElementLoc{static_cast<int>(r), e.off};
+    }
+  }
+  return loc;
+}
+
 }  // namespace
+
+std::vector<Migrant> migrantRecords(transport::Comm& comm,
+                                    std::span<const Index> oldMine,
+                                    std::span<const Index> newMine,
+                                    Index globalSize) {
+  const int nprocs = comm.size();
+  const Index homeBlock =
+      std::max<Index>(1, (globalSize + nprocs - 1) / nprocs);
+  auto oldAt =
+      comm.alltoall(routeToHomes(oldMine, globalSize, homeBlock, nprocs));
+  auto newAt =
+      comm.alltoall(routeToHomes(newMine, globalSize, homeBlock, nprocs));
+
+  const Index myLo = std::min(globalSize, homeBlock * comm.rank());
+  const Index myHi = std::min(globalSize, myLo + homeBlock);
+  const std::vector<ElementLoc> oldLoc = claimsAt(oldAt, myLo, myHi);
+  const std::vector<ElementLoc> newLoc = claimsAt(newAt, myLo, myHi);
+  std::vector<Migrant> mine;
+  for (Index g = myLo; g < myHi; ++g) {
+    const ElementLoc& a = oldLoc[static_cast<std::size_t>(g - myLo)];
+    const ElementLoc& b = newLoc[static_cast<std::size_t>(g - myLo)];
+    if (!(a == b)) {
+      mine.push_back(Migrant{g, a.offset, b.offset, a.proc, b.proc});
+    }
+  }
+  // Home ranges ascend with rank, so concatenating the rows in rank order
+  // yields the globally sorted records directly.
+  auto rows = comm.allgather<Migrant>(std::span<const Migrant>(mine));
+  std::vector<Migrant> migrants;
+  for (const std::vector<Migrant>& row : rows) {
+    migrants.insert(migrants.end(), row.begin(), row.end());
+  }
+  return migrants;
+}
 
 std::vector<Index> migratedGlobals(transport::Comm& comm,
                                    std::span<const Index> oldMine,
                                    std::span<const Index> newMine,
                                    Index globalSize) {
-  const int nprocs = comm.size();
-  const Index homeBlock =
-      std::max<Index>(1, (globalSize + nprocs - 1) / nprocs);
-  // Each index has a home rank that sees both assignments' claims for it
-  // and decides migration locally — two all-to-alls and one allgather,
-  // independent of how irregular the distributions are.
-  auto oldAt = comm.alltoall(routeToHomes(oldMine, homeBlock, nprocs));
-  auto newAt = comm.alltoall(routeToHomes(newMine, homeBlock, nprocs));
-
-  const Index myLo = std::min(globalSize, homeBlock * comm.rank());
-  const Index myHi = std::min(globalSize, myLo + homeBlock);
-  struct OwnerOffset {
-    int owner = -1;  // -1: not owned in this assignment
-    Index off = 0;
-  };
-  std::vector<OwnerOffset> oldLoc(static_cast<std::size_t>(myHi - myLo));
-  std::vector<OwnerOffset> newLoc(static_cast<std::size_t>(myHi - myLo));
-  for (int r = 0; r < nprocs; ++r) {
-    for (const GlobalOffset& e : oldAt[static_cast<std::size_t>(r)]) {
-      oldLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
-    }
-    for (const GlobalOffset& e : newAt[static_cast<std::size_t>(r)]) {
-      newLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
-    }
-  }
-  std::vector<Index> mineMigrated;
-  for (Index g = myLo; g < myHi; ++g) {
-    const OwnerOffset& a = oldLoc[static_cast<std::size_t>(g - myLo)];
-    const OwnerOffset& b = newLoc[static_cast<std::size_t>(g - myLo)];
-    if (a.owner != b.owner || (a.owner >= 0 && a.off != b.off)) {
-      mineMigrated.push_back(g);
-    }
-  }
-  // Home ranges ascend with rank, so concatenating the rows in rank order
-  // yields the globally sorted migrated set directly.
-  auto rows = comm.allgather<Index>(std::span<const Index>(mineMigrated));
+  const std::vector<Migrant> migrants =
+      migrantRecords(comm, oldMine, newMine, globalSize);
   std::vector<Index> migrated;
-  for (const std::vector<Index>& row : rows) {
-    migrated.insert(migrated.end(), row.begin(), row.end());
-  }
+  migrated.reserve(migrants.size());
+  for (const Migrant& m : migrants) migrated.push_back(m.global);
   return migrated;
 }
 

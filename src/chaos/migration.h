@@ -6,8 +6,10 @@
 // elements usually stay put.  This module derives the *migrated set* — the
 // global indices whose (owner, local offset) actually changed — which is
 // what feeds the delta-schedule machinery (core::deltaFromMigratedIndices,
-// core::patchSchedule) and the dereference cache's selective invalidation
-// (DerefCache::retarget).
+// core::patchSchedule).  Its record form (migrantRecords) also carries each
+// migrant's old and new (owner, offset), which is all chaos::remap needs to
+// patch the translation table, schedule the data move and update the
+// dereference cache (DerefCache::retarget) without a table dereference.
 //
 // It also provides the slot policy that keeps the migrated set small:
 // stableRemapOrder re-orders a partitioner's raw assignment so that
@@ -20,16 +22,29 @@
 #include <span>
 #include <vector>
 
+#include "chaos/ttable.h"
 #include "layout/index.h"
 #include "transport/comm.h"
 
 namespace mc::chaos {
 
-/// Collective: the sorted global indices whose (owner, local offset)
-/// mapping differs between the old assignment (`oldMine`, this rank's
-/// elements in local order) and the new one (`newMine`).  Indices owned in
-/// only one of the two assignments count as migrated.  Every rank returns
-/// the same (global) sorted, duplicate-free vector.
+/// Collective: one record per global index whose (owner, local offset)
+/// differs between the old assignment (`oldMine`, this rank's elements in
+/// local order) and the new one (`newMine`), with both locations.  Indices
+/// owned in only one of the two assignments count as migrated (the other
+/// side's proc is -1).  Every rank returns the same records, sorted by
+/// global index.  Each index's block-home rank compares the two claims —
+/// two all-to-alls and one allgather of the records, however irregular the
+/// distributions.  An index claimed twice in one assignment raises "global
+/// index g owned twice" on its home rank; one outside [0, globalSize)
+/// raises "out of range" on the rank that claims it.
+std::vector<Migrant> migrantRecords(transport::Comm& comm,
+                                    std::span<const layout::Index> oldMine,
+                                    std::span<const layout::Index> newMine,
+                                    layout::Index globalSize);
+
+/// Collective: the global indices of migrantRecords — sorted,
+/// duplicate-free, the same vector on every rank.
 std::vector<layout::Index> migratedGlobals(transport::Comm& comm,
                                            std::span<const layout::Index> oldMine,
                                            std::span<const layout::Index> newMine,

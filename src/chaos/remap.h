@@ -2,30 +2,60 @@
 //
 // Adaptive irregular applications repartition as the computation evolves
 // (Chaos was built for exactly this: "runtime and language support for
-// compiling adaptive irregular programs").  remap() builds the new
-// translation table, derives the old-owner -> new-owner schedule through
-// the existing copy machinery, moves the data, and returns the array under
-// its new distribution.  Schedules built against the old distribution
-// (localize results, Meta-Chaos schedules) are invalidated by a remap and
-// must be rebuilt or *patched*: the optional `migratedOut` hands back the
-// sorted migrated global indices, ready for core::deltaFromMigratedIndices
-// and core::patchSchedule.
-//
-// The dereference cache survives a remap selectively: only entries whose
-// (owner, offset) actually changed are dropped (DerefCache::retarget); the
-// rest carry over to the new table's shard, so an inspector pass after an
-// unrelated remap still hits.  Pass the new assignment through
+// compiling adaptive irregular programs").  Most elements usually stay put,
+// so remap() works from the migrant set alone.  One collective exchange
+// (chaos::migrantRecords: two all-to-alls to the block-home ranks and one
+// allgather of the records) gives every rank each migrant's old and new
+// (owner, offset).  From those records, locally:
+//  * the new translation table is the old one patched
+//    (TranslationTable::patched) — no rebuild, no table allgather unless
+//    the storage changes from distributed to replicated;
+//  * the move schedule pairs survivors i -> i locally and sends/receives
+//    the migrants in global-index order on both sides — no alltoall and no
+//    translation-table dereference;
+//  * the dereference cache's shard passes to the new table with migrant
+//    entries rewritten to their new locations (DerefCache::retarget), so
+//    an inspector pass after the remap hits on everything it cached before.
+// Schedules built against the old distribution (localize results,
+// Meta-Chaos schedules) are invalidated by a remap and must be rebuilt or
+// *patched*: the optional `migratedOut` hands back the sorted migrated
+// global indices, ready for core::deltaFromMigratedIndices and
+// core::patchSchedule.  Pass the new assignment through
 // chaos::stableRemapOrder to keep survivors at their old offsets —
 // otherwise a one-element boundary shift migrates everything.
 #pragma once
 
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "chaos/deref_cache.h"
-#include "chaos/irreg_copy.h"
 #include "chaos/irreg_array.h"
 #include "chaos/migration.h"
+#include "chaos/ttable.h"
 #include "sched/executor.h"
+#include "sched/schedule.h"
 
 namespace mc::chaos {
+
+/// The inspector half of remap(): the new table, the move schedule (old
+/// local storage -> new local storage) and the migrant records.
+struct RemapPlan {
+  std::shared_ptr<const TranslationTable> table;
+  sched::Schedule move;
+  std::vector<Migrant> migrants;
+};
+
+/// Collective.  `oldMine` must be the assignment `oldTable` was built from
+/// and `newMine` a complete, duplicate-free assignment of the same global
+/// indices: an index claimed twice raises "owned twice" on its home rank,
+/// one left out raises "unowned".  Hands the dereference cache's shard to
+/// the new table (DerefCache::retarget) and counts the migrants in the
+/// rank's chaos.remap.migrants counter.
+RemapPlan planRemap(transport::Comm& comm, const TranslationTable& oldTable,
+                    std::span<const layout::Index> oldMine,
+                    std::span<const layout::Index> newMine,
+                    TranslationTable::Storage storage);
 
 /// Collective: every processor passes the global indices it will own
 /// *after* the remap (the new partitioner's assignment, local order).
@@ -39,32 +69,16 @@ IrregArray<T> remap(const IrregArray<T>& old,
                     TranslationTable::Storage storage,
                     std::vector<layout::Index>* migratedOut) {
   transport::Comm& comm = old.comm();
-  // Which elements actually move?  Computed against the assignment before
-  // it is consumed by the new array below.
-  std::vector<layout::Index> migrated =
-      migratedGlobals(comm, old.myGlobals(), newMine, old.globalSize());
-  auto newTable = std::make_shared<const TranslationTable>(
-      TranslationTable::build(comm, newMine, old.globalSize(), storage,
-                              old.table().modeledQueryCost()));
-  // Selective invalidation, *before* the copy-schedule build dereferences
-  // the new table: survivors resolve identically under it (unmigrated
-  // means identical (owner, offset)), so they are carried into the new
-  // table's shard and the build's own dereferences already hit.
-  derefCache().retarget(old.table().uid(), newTable->uid(),
-                        newTable->liveness(), migrated);
-  IrregArray<T> fresh(comm, newTable, std::move(newMine));
-  // Mapping: my old element at offset i (global g) goes to new location of
-  // the same global index g.
-  const auto myOld = old.myGlobals();
-  std::vector<layout::Index> srcOffsets(myOld.size());
-  std::vector<layout::Index> dstGlobals(myOld.begin(), myOld.end());
-  for (size_t i = 0; i < myOld.size(); ++i) {
-    srcOffsets[i] = static_cast<layout::Index>(i);
+  const RemapPlan plan =
+      planRemap(comm, old.table(), old.myGlobals(), newMine, storage);
+  IrregArray<T> fresh(comm, plan.table, std::move(newMine));
+  sched::execute<T>(comm, plan.move, old.raw(), fresh.raw(),
+                    comm.nextUserTag());
+  if (migratedOut != nullptr) {
+    migratedOut->clear();
+    migratedOut->reserve(plan.migrants.size());
+    for (const Migrant& m : plan.migrants) migratedOut->push_back(m.global);
   }
-  const sched::Schedule sched =
-      buildIrregCopySchedule(comm, *newTable, srcOffsets, dstGlobals);
-  sched::execute<T>(comm, sched, old.raw(), fresh.raw(), comm.nextUserTag());
-  if (migratedOut != nullptr) *migratedOut = std::move(migrated);
   return fresh;
 }
 

@@ -140,6 +140,59 @@ TranslationTable TranslationTable::replicatedFromEntries(
   return t;
 }
 
+TranslationTable TranslationTable::patched(transport::Comm& comm,
+                                           std::span<const Migrant> migrants,
+                                           Storage storage) const {
+  const int np = comm.size();
+  MC_REQUIRE(static_cast<int>(localCounts_.size()) == np,
+             "translation table spans %zu processors, the communicator %d",
+             localCounts_.size(), np);
+  TranslationTable t;
+  t.storage_ = storage;
+  t.modeledQueryCost_ = modeledQueryCost_;
+  t.globalSize_ = globalSize_;
+  t.homeBlock_ = homeBlock_;
+  t.myRank_ = comm.rank();
+  t.mintIdentity();
+  t.localCounts_ = localCounts_;
+  // Start from the entries the new storage holds on this processor.
+  const Index sliceLo = homeBlock_ * t.myRank_;
+  if (storage == Storage::kReplicated) {
+    t.entries_ = gatherFull(comm);
+  } else if (storage_ == Storage::kDistributed) {
+    t.entries_ = entries_;
+  } else {
+    const Index sliceHi = std::min(globalSize_, sliceLo + homeBlock_);
+    const Index from = std::min(sliceLo, sliceHi);
+    t.entries_.assign(entries_.begin() + static_cast<std::ptrdiff_t>(from),
+                      entries_.begin() + static_cast<std::ptrdiff_t>(sliceHi));
+  }
+  const Index lo = storage == Storage::kReplicated ? 0 : sliceLo;
+  const auto held = static_cast<Index>(t.entries_.size());
+  for (const Migrant& m : migrants) {
+    MC_REQUIRE(m.global >= 0 && m.global < globalSize_,
+               "global index %lld out of range",
+               static_cast<long long>(m.global));
+    MC_REQUIRE(m.toProc >= 0, "global index %lld unowned",
+               static_cast<long long>(m.global));
+    MC_REQUIRE(m.fromProc >= 0 && m.fromProc < np && m.toProc < np,
+               "migrant record for global index %lld names no owner of "
+               "this table",
+               static_cast<long long>(m.global));
+    --t.localCounts_[static_cast<std::size_t>(m.fromProc)];
+    ++t.localCounts_[static_cast<std::size_t>(m.toProc)];
+    const Index slot = m.global - lo;
+    if (slot < 0 || slot >= held) continue;
+    ElementLoc& e = t.entries_[static_cast<std::size_t>(slot)];
+    MC_REQUIRE(e == m.from(),
+               "migrant record for global index %lld does not match the "
+               "table it patches",
+               static_cast<long long>(m.global));
+    e = m.to();
+  }
+  return t;
+}
+
 std::vector<ElementLoc> TranslationTable::dereference(
     transport::Comm& comm, std::span<const Index> globals) const {
   std::vector<ElementLoc> out(globals.size());

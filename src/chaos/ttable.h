@@ -33,6 +33,20 @@ struct ElementLoc {
   }
 };
 
+/// One element whose location differs between two assignments (see
+/// chaos::migrantRecords): it moves from (fromProc, fromOffset) to
+/// (toProc, toOffset).  A proc of -1 means unowned in that assignment.
+/// Field order keeps the record free of padding (it travels in collectives).
+struct Migrant {
+  layout::Index global = 0;
+  layout::Index fromOffset = -1;
+  layout::Index toOffset = -1;
+  int fromProc = -1;
+  int toProc = -1;
+  ElementLoc from() const { return ElementLoc{fromProc, fromOffset}; }
+  ElementLoc to() const { return ElementLoc{toProc, toOffset}; }
+};
+
 class TranslationTable {
  public:
   enum class Storage { kReplicated, kDistributed };
@@ -57,6 +71,21 @@ class TranslationTable {
   static TranslationTable replicatedFromEntries(
       std::vector<ElementLoc> entries, int nprocs,
       double modeledQueryCostSeconds = 0.0);
+
+  /// The table of the assignment that differs from this one by exactly
+  /// `migrants` (sorted by global, the same list on every processor — what
+  /// chaos::migrantRecords returns), under `storage`.  Equal to a fresh
+  /// build() of that assignment (same localFingerprint, same dereference of
+  /// every index) but derived locally: migrant entries are overwritten and
+  /// the per-processor counts adjusted.  A storage change reuses the same
+  /// patch — replicated -> distributed keeps this processor's home slice;
+  /// distributed -> replicated first gathers the full table (gatherFull,
+  /// the only collective here).  Mints a fresh uid and keeps the modeled
+  /// query cost.  Raises "global index g unowned" when a migrant has no new
+  /// owner.
+  TranslationTable patched(transport::Comm& comm,
+                           std::span<const Migrant> migrants,
+                           Storage storage) const;
 
   Storage storage() const { return storage_; }
   layout::Index globalSize() const { return globalSize_; }

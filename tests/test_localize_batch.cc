@@ -6,9 +6,10 @@
 // elements, adversarial owner skew — over random translation tables under
 // both storage policies.  Plus the dereference-cache contract: hit/miss
 // accounting via obs snapshot diffs, uid keying across live tables, the
-// stale-cache regression (chaos::remap invalidates the old table's shard on
-// every rank), and shard lifetime (a dead table's shard is pruned, a
-// remapped one survives with its new table).
+// stale-cache regression (chaos::remap takes the old table's shard away on
+// every rank and rewrites its migrant entries for the new table), and shard
+// lifetime (a dead table's shard is pruned, a remapped one survives with its
+// new table).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -242,18 +243,25 @@ TEST(DerefCache, RemapInvalidatesOldTableShard) {
         obs::threadRegistry().snapshot().get("localize.deref_cache.entries");
 
     const obs::Snapshot before = obs::threadRegistry().snapshot();
+    std::vector<Index> migrated;
     IrregArray<double> moved =
         remap(arr, randomPartition(n, c.size(), c.rank(), 99),
-              Storage::kDistributed);
+              Storage::kDistributed, &migrated);
     const obs::Snapshot diff = obs::threadRegistry().snapshot() - before;
-    // remap dropped the old table's shard on this rank.
+    // remap took the old table's shard on this rank and handed it to the
+    // new table: nothing dropped, the cached migrants rewritten in place.
     EXPECT_GE(diff.get("localize.deref_cache.invalidations"), 1.0);
-    if (entriesBefore > 0) {
-      EXPECT_LT(obs::threadRegistry()
-                    .snapshot()
-                    .get("localize.deref_cache.entries"),
-                entriesBefore);
-    }
+    EXPECT_EQ(obs::threadRegistry().snapshot().get(
+                  "localize.deref_cache.entries"),
+              entriesBefore);
+    std::vector<chaos::ElementLoc> locs(migrated.size());
+    std::vector<std::uint8_t> hit(migrated.size());
+    const std::size_t cachedMigrants = derefCache().lookupSorted(
+        moved.table().uid(), migrated, locs.data(), hit.data());
+    EXPECT_EQ(diff.get("localize.deref_cache.retarget_updated"),
+              static_cast<double>(cachedMigrants));
+    EXPECT_EQ(diff.get("chaos.remap.migrants"),
+              static_cast<double>(migrated.size()));
     // Data survived the move.
     for (size_t i = 0; i < moved.myGlobals().size(); ++i) {
       EXPECT_EQ(moved.raw()[i],
@@ -262,7 +270,7 @@ TEST(DerefCache, RemapInvalidatesOldTableShard) {
     // The stale-cache bug class: a localize against the NEW table must
     // resolve to the new owners — differentially checked against the
     // uncached oracle — and re-priming the old table's shard must MISS
-    // (its entries are gone), not serve stale locations.
+    // (its entries moved to the new table), not serve stale locations.
     differential(c, moved.table(), refs);
     const obs::Snapshot prime = obs::threadRegistry().snapshot();
     (void)localize(c, *table, refs);
@@ -310,7 +318,8 @@ TEST(DerefCache, DeadTableShardIsPrunedAtNextInsert) {
 }
 
 // remap hands the old table's shard to the new table, liveness included:
-// the shard outlives the old table and its survivors still hit.
+// the shard outlives the old table, and every entry — the rewritten migrant
+// too — still hits.
 TEST(DerefCache, RetargetedShardSurvivesOldTable) {
   World::runSPMD(4, [](Comm& c) {
     const Index n = 128;
@@ -326,8 +335,8 @@ TEST(DerefCache, RetargetedShardSurvivesOldTable) {
     next[0].pop_back();
     next[1].push_back(moved);
     const auto& myOld = mine[static_cast<size_t>(c.rank())];
-    // References this rank's remap build never touches: other ranks'
-    // elements (the build dereferences only this rank's old globals).
+    // Other ranks' elements: on ranks 2 and 3 these include the one that
+    // moves.
     std::vector<Index> refs;
     for (Index g = 0; g < n; ++g) {
       if (std::find(myOld.begin(), myOld.end(), g) == myOld.end()) {
@@ -339,10 +348,14 @@ TEST(DerefCache, RetargetedShardSurvivesOldTable) {
     auto arr = std::make_unique<IrregArray<double>>(c, table, myOld);
     (void)table->dereferenceCached(c, refs);
     std::vector<Index> migrated;
+    const DerefCacheStats beforeRemap = derefCacheStats();
     IrregArray<double> after =
         remap(*arr, next[static_cast<size_t>(c.rank())],
               Storage::kDistributed, &migrated);
     EXPECT_EQ(migrated, std::vector<Index>{moved});
+    // remap dereferenced nothing.
+    EXPECT_EQ(derefCacheStats().hits, beforeRemap.hits);
+    EXPECT_EQ(derefCacheStats().misses, beforeRemap.misses);
     arr.reset();
     table.reset();  // the old table's last copy dies
     // Force a prune: any insert on this rank runs it.
@@ -352,11 +365,8 @@ TEST(DerefCache, RetargetedShardSurvivesOldTable) {
     const DerefCacheStats before = derefCacheStats();
     EXPECT_EQ(after.table().dereferenceCached(c, refs),
               after.table().dereference(c, refs));
-    const size_t refsMigrated =
-        std::count(refs.begin(), refs.end(), moved);
-    EXPECT_EQ(derefCacheStats().hits - before.hits,
-              refs.size() - refsMigrated);
-    EXPECT_EQ(derefCacheStats().misses - before.misses, refsMigrated);
+    EXPECT_EQ(derefCacheStats().hits - before.hits, refs.size());
+    EXPECT_EQ(derefCacheStats().misses - before.misses, 0u);
   });
 }
 

@@ -1,11 +1,23 @@
 // Tests for the adaptive-application features: chaos::remap (repartition a
-// live irregular array), sched::merge (one message per peer for grouped
-// transfers), and Parti global reductions.
+// live irregular array — including its patched translation table, checked
+// differentially against a fresh build, and its payload move, checked
+// bitwise against the old schedule-by-dereference path), sched::merge (one
+// message per peer for grouped transfers), and Parti global reductions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <random>
+#include <string>
+
+#include "chaos/deref_cache.h"
+#include "chaos/irreg_copy.h"
 #include "chaos/localize.h"
+#include "chaos/migration.h"
 #include "chaos/partition.h"
 #include "chaos/remap.h"
+#include "oracles/reference_executor.h"
 #include "parti/dist_array.h"
 #include "transport/world.h"
 
@@ -93,6 +105,208 @@ TEST(Remap, LocalizeWorksAfterRemap) {
       EXPECT_DOUBLE_EQ(v, static_cast<double>(refs[i]));
     }
   });
+}
+
+// Runs a 3-rank remap from the block partition of 12 onto `next`, and
+// returns the message of the error it raised ("" when none).
+std::string remapError(const std::vector<std::vector<Index>>& next) {
+  try {
+    World::runSPMD(3, [&](Comm& c) {
+      const Index n = 12;
+      const auto oldMine = chaos::blockPartition(n, c.size(), c.rank());
+      auto table = std::make_shared<const TranslationTable>(
+          TranslationTable::build(c, oldMine, n,
+                                  TranslationTable::Storage::kDistributed));
+      IrregArray<double> x(c, table, oldMine);
+      (void)chaos::remap(x, next[static_cast<std::size_t>(c.rank())],
+                         TranslationTable::Storage::kDistributed);
+    });
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Remap, DuplicateAssignmentRaisesOwnedTwice) {
+  // Ranks 0 and 1 both claim global 4.
+  const std::string what =
+      remapError({{0, 1, 2, 3, 4}, {4, 5, 6, 7}, {8, 9, 10, 11}});
+  EXPECT_NE(what.find("global index 4 owned twice"), std::string::npos)
+      << what;
+}
+
+TEST(Remap, GappedAssignmentRaisesUnowned) {
+  // Nobody claims global 11.
+  const std::string what =
+      remapError({{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10}});
+  EXPECT_NE(what.find("global index 11 unowned"), std::string::npos)
+      << what;
+}
+
+// migrantRecords keeps migratedGlobals' partial-assignment contract: an
+// index owned in only one of the two assignments is a migrant whose other
+// side is proc -1.
+TEST(Remap, MigrantRecordsAcceptPartialAssignments) {
+  World::runSPMD(2, [](Comm& c) {
+    // Old: rank 0 {0, 1}, rank 1 {2}.  New: rank 0 {1}, rank 1 {2, 3}.
+    const std::vector<Index> oldMine =
+        c.rank() == 0 ? std::vector<Index>{0, 1} : std::vector<Index>{2};
+    const std::vector<Index> newMine =
+        c.rank() == 0 ? std::vector<Index>{1} : std::vector<Index>{2, 3};
+    const auto migrants = chaos::migrantRecords(c, oldMine, newMine, 4);
+    ASSERT_EQ(migrants.size(), 3u);
+    EXPECT_EQ(migrants[0].global, 0);  // dropped
+    EXPECT_EQ(migrants[0].from(), (chaos::ElementLoc{0, 0}));
+    EXPECT_EQ(migrants[0].to().proc, -1);
+    EXPECT_EQ(migrants[1].global, 1);  // same owner, new offset
+    EXPECT_EQ(migrants[1].from(), (chaos::ElementLoc{0, 1}));
+    EXPECT_EQ(migrants[1].to(), (chaos::ElementLoc{0, 0}));
+    EXPECT_EQ(migrants[2].global, 3);  // new
+    EXPECT_EQ(migrants[2].from().proc, -1);
+    EXPECT_EQ(migrants[2].to(), (chaos::ElementLoc{1, 1}));
+    EXPECT_EQ(chaos::migratedGlobals(c, oldMine, newMine, 4),
+              (std::vector<Index>{0, 1, 3}));
+  });
+}
+
+/// Every rank's assignment, in local order, generated identically on every
+/// rank from one seed.
+using Assignment = std::vector<std::vector<Index>>;
+
+Assignment randomAssignment(Index n, int np, std::mt19937& rng) {
+  Assignment a(static_cast<std::size_t>(np));
+  std::uniform_int_distribution<int> owner(0, np - 1);
+  for (Index g = 0; g < n; ++g) {
+    a[static_cast<std::size_t>(owner(rng))].push_back(g);
+  }
+  for (auto& mine : a) std::shuffle(mine.begin(), mine.end(), rng);
+  return a;
+}
+
+/// Drift: `moves` random elements change owner, so part sizes grow and
+/// shrink.  `stable` keeps survivors' slots (stableRemapOrder, which
+/// compacts a shrinking part); otherwise each part is listed ascending.
+Assignment drift(const Assignment& old, Index n, int moves, bool stable,
+                 std::mt19937& rng) {
+  const int np = static_cast<int>(old.size());
+  std::vector<int> owner(static_cast<std::size_t>(n));
+  for (int r = 0; r < np; ++r) {
+    for (const Index g : old[static_cast<std::size_t>(r)]) {
+      owner[static_cast<std::size_t>(g)] = r;
+    }
+  }
+  std::uniform_int_distribution<Index> pickG(0, n - 1);
+  std::uniform_int_distribution<int> pickR(0, np - 1);
+  for (int k = 0; k < moves; ++k) {
+    owner[static_cast<std::size_t>(pickG(rng))] = pickR(rng);
+  }
+  Assignment next(static_cast<std::size_t>(np));
+  for (Index g = 0; g < n; ++g) {
+    next[static_cast<std::size_t>(owner[static_cast<std::size_t>(g)])]
+        .push_back(g);
+  }
+  if (stable) {
+    for (int r = 0; r < np; ++r) {
+      const auto rr = static_cast<std::size_t>(r);
+      next[rr] = chaos::stableRemapOrder(old[rr], next[rr]);
+    }
+  }
+  return next;
+}
+
+std::uint64_t payloadBits(Index g) {
+  std::uint64_t x = static_cast<std::uint64_t>(g) * 0x9E3779B97F4A7C15ull;
+  x ^= x >> 29;
+  return x * 0xBF58476D1CE4E5B9ull;
+}
+
+// Differential fuzz over drift partitions on 2-5 ranks, every storage pair:
+// the patched table equals a fresh TranslationTable::build of the new
+// assignment (fingerprint and every dereference), remap makes no
+// dereference, and the payload lands bitwise where the old
+// schedule-by-dereference path (buildIrregCopySchedule against the fresh
+// table, run by the reference executor) puts it.
+TEST(Remap, PatchedTableMatchesFreshBuildAndOldMovePath) {
+  using Storage = TranslationTable::Storage;
+  const Storage kinds[] = {Storage::kReplicated, Storage::kDistributed};
+  std::size_t offsetOnly = 0, grew = 0, shrank = 0;
+  for (int np = 2; np <= 5; ++np) {
+    World::runSPMD(np, [&](Comm& c) {
+      for (int trial = 0; trial < 16; ++trial) {
+        const Storage from = kinds[trial % 2];
+        const Storage to = kinds[(trial / 2) % 2];
+        const bool stable = trial % 8 < 6;
+        const Index n = 23 + 11 * trial;
+        std::mt19937 rng(1000u * static_cast<unsigned>(np) +
+                         static_cast<unsigned>(trial));
+        const Assignment oldA = randomAssignment(n, np, rng);
+        const Assignment newA =
+            drift(oldA, n, 1 + trial % 5 + static_cast<int>(n) / 10, stable,
+                  rng);
+        const auto me = static_cast<std::size_t>(c.rank());
+        const double cost = 1e-7 * (1 + trial % 3);
+
+        auto table = std::make_shared<const TranslationTable>(
+            TranslationTable::build(c, oldA[me], n, from, cost));
+        IrregArray<double> x(c, table, oldA[me]);
+        for (std::size_t i = 0; i < oldA[me].size(); ++i) {
+          const std::uint64_t bits = payloadBits(oldA[me][i]);
+          std::memcpy(&x.raw()[i], &bits, sizeof bits);
+        }
+
+        const auto before = chaos::derefCacheStats();
+        std::vector<Index> migrated;
+        IrregArray<double> y = chaos::remap(x, newA[me], to, &migrated);
+        EXPECT_EQ(chaos::derefCacheStats().hits, before.hits);
+        EXPECT_EQ(chaos::derefCacheStats().misses, before.misses);
+
+        const TranslationTable fresh =
+            TranslationTable::build(c, newA[me], n, to, cost);
+        EXPECT_EQ(y.table().storage(), to);
+        EXPECT_NE(y.table().uid(), table->uid());
+        EXPECT_EQ(y.table().localFingerprint(), fresh.localFingerprint())
+            << "np=" << np << " trial=" << trial;
+        std::vector<Index> all(static_cast<std::size_t>(n));
+        std::iota(all.begin(), all.end(), Index{0});
+        EXPECT_EQ(y.table().dereference(c, all), fresh.dereference(c, all))
+            << "np=" << np << " trial=" << trial;
+
+        // The old move path: dereference every old-owned global against
+        // the fresh table and build the copy schedule from the answers.
+        std::vector<Index> srcOffsets(oldA[me].size());
+        std::iota(srcOffsets.begin(), srcOffsets.end(), Index{0});
+        const sched::Schedule byDeref =
+            chaos::buildIrregCopySchedule(c, fresh, srcOffsets, oldA[me]);
+        std::vector<double> want(newA[me].size(), 0.0);
+        sched::reference::execute<double>(c, byDeref, x.raw(), want,
+                                          c.nextUserTag());
+        ASSERT_EQ(y.raw().size(), want.size());
+        EXPECT_EQ(std::memcmp(y.raw().data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "np=" << np << " trial=" << trial;
+
+        const auto migrants =
+            chaos::migrantRecords(c, oldA[me], newA[me], n);
+        std::vector<Index> globals;
+        for (const chaos::Migrant& m : migrants) {
+          globals.push_back(m.global);
+          if (c.rank() == 0 && m.fromProc == m.toProc) ++offsetOnly;
+        }
+        EXPECT_EQ(migrated, globals);
+        if (c.rank() == 0) {
+          for (std::size_t r = 0; r < oldA.size(); ++r) {
+            grew += newA[r].size() > oldA[r].size() ? 1 : 0;
+            shrank += newA[r].size() < oldA[r].size() ? 1 : 0;
+          }
+        }
+      }
+    });
+  }
+  // The fuzz really covered slot compaction and part-size changes.
+  EXPECT_GT(offsetOnly, 0u);
+  EXPECT_GT(grew, 0u);
+  EXPECT_GT(shrank, 0u);
 }
 
 TEST(ScheduleMerge, OneMessagePerPeerForGroupedTransfers) {

@@ -5,12 +5,13 @@
 // too.  Also covers the satellite machinery: deltaFromMigratedIndices /
 // chaos::migratedGlobals / stableRemapOrder, the redistribution move,
 // ScheduleCache::getOrPatch, Executor::rebind buffer reuse, and the
-// dereference cache's selective retarget across a remap.
+// dereference cache's hand-over across a remap.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
 
+#include "chaos/deref_cache.h"
 #include "chaos/migration.h"
 #include "chaos/partition.h"
 #include "chaos/remap.h"
@@ -624,7 +625,8 @@ TEST(ScheduleDelta, RebindMatchesFreshExecutorAndKeepsBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// DerefCache::retarget — survivors carry across a remap.
+// DerefCache::retarget — survivors carry across a remap, migrants are
+// rewritten in place.
 
 TEST(ScheduleDelta, DerefCacheRetargetKeepsSurvivors) {
   chaos::DerefCache cache;
@@ -634,25 +636,33 @@ TEST(ScheduleDelta, DerefCacheRetargetKeepsSurvivors) {
   const auto oldTable = std::make_shared<const int>(0);
   const auto newTable = std::make_shared<const int>(0);
   cache.insertSorted(9001, oldTable, keys, locs);
-  const std::vector<Index> migrated = {5, 11, 14};
-  EXPECT_TRUE(cache.retarget(9001, 9002, newTable, migrated));
-  EXPECT_EQ(cache.entryCount(), 2u);
+  // 5 moves to rank 2, 11 is not cached, 14 changes offset on its owner;
+  // 2 and 9 stay.
+  const std::vector<chaos::Migrant> migrants = {
+      {5, 20, 7, 1, 2}, {11, 3, 4, 0, 1}, {14, 40, 41, 3, 3}};
+  const auto updatedBefore = chaos::derefCacheStats().retargetUpdated;
+  EXPECT_TRUE(cache.retarget(9001, 9002, newTable, migrants));
+  EXPECT_EQ(cache.entryCount(), 4u);
+  EXPECT_EQ(chaos::derefCacheStats().retargetUpdated - updatedBefore, 2u);
   // Old uid: everything misses (the shard was rekeyed).
   std::vector<chaos::ElementLoc> out(keys.size());
   std::vector<std::uint8_t> hit(keys.size());
   EXPECT_EQ(cache.lookupSorted(9001, keys, out.data(), hit.data()), 0u);
-  // New uid: survivors hit with their carried locations, migrated miss.
-  EXPECT_EQ(cache.lookupSorted(9002, keys, out.data(), hit.data()), 2u);
-  EXPECT_TRUE(hit[0] && !hit[1] && hit[2] && !hit[3]);
+  // New uid: survivors hit with their carried locations, the migrants with
+  // their new ones.
+  EXPECT_EQ(cache.lookupSorted(9002, keys, out.data(), hit.data()), 4u);
   EXPECT_EQ(out[0], (chaos::ElementLoc{0, 10}));
+  EXPECT_EQ(out[1], (chaos::ElementLoc{2, 7}));
   EXPECT_EQ(out[2], (chaos::ElementLoc{2, 30}));
+  EXPECT_EQ(out[3], (chaos::ElementLoc{3, 41}));
 }
 
-// Stats-diff regression: the remap's OWN copy-schedule build dereferences
-// every old-owned global against the NEW table.  With selective retarget,
-// the warm entries for unmigrated elements carry over and hit; only the
-// actually-migrated references miss.  (The old behaviour dropped the whole
-// shard, so the remap build started cold — every reference missed.)
+// Stats-diff regression: remap makes no translation-table dereference at
+// all — the new table, the move schedule and the cache update all come from
+// the migrant records — and hands the warm shard to the new table with its
+// migrant entries rewritten, so every cached entry still equals the new
+// table's answer and the next inspector pass over the same references hits
+// on every one of them, moved or not.
 TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
   World::runSPMD(kProcs, [](Comm& c) {
     const Index n = 64;
@@ -664,8 +674,7 @@ TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
     IrregArray<double> arr(c, table, myOld);
     arr.fillByGlobal([](Index g) { return static_cast<double>(g); });
 
-    // Warm the cache with exactly the references the remap build will
-    // dereference: this rank's own (old) globals.
+    // Warm the cache with this rank's own (old) globals.
     (void)table->dereferenceCached(c, myOld);
 
     // Remap with a small migration, slots kept stable.
@@ -688,8 +697,25 @@ TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
       }
     }
     EXPECT_EQ(after.retargets - before.retargets, 1u);
-    EXPECT_EQ(after.misses - before.misses, myMigrated);
-    EXPECT_EQ(after.hits - before.hits, myOld.size() - myMigrated);
+    EXPECT_EQ(after.retargetUpdated - before.retargetUpdated, myMigrated);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, before.entries);
+
+    // Every cached entry equals an uncached dereference of the new table.
+    std::vector<Index> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), Index{0});
+    const auto truth = fresh.table().dereference(c, all);
+    std::vector<chaos::ElementLoc> cached(all.size());
+    std::vector<std::uint8_t> hit(all.size());
+    EXPECT_EQ(chaos::derefCache().lookupSorted(fresh.table().uid(), all,
+                                               cached.data(), hit.data()),
+              myOld.size());
+    for (std::size_t g = 0; g < all.size(); ++g) {
+      if (hit[g]) {
+        EXPECT_EQ(cached[g], truth[g]) << "global " << g;
+      }
+    }
     // The moved data arrived intact.
     const auto gathered = fresh.gatherGlobal();
     for (Index g = 0; g < n; ++g) {
