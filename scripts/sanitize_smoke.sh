@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Builds a sanitizer preset and runs a slice of the test suite under it.
 #
-# Default preset is asan-ubsan with the schedule-cache / run-compression
-# suite (plus the randomized copy fuzzer and the suites that compare the
-# executor against the tests/oracles reference executor).  Pass
-# --preset=tsan to run the ThreadSanitizer build instead; its default
-# filter is the transport / executor / split-phase suites, where the
-# cross-thread mailbox traffic lives.
+# Default preset is asan-ubsan with the schedule-cache / run-compression /
+# run-join suites (plus the randomized copy fuzzer, the obs registry and
+# the suites that compare the executor against the tests/oracles reference
+# executor).  Pass --preset=tsan to run the ThreadSanitizer build instead;
+# its default filter is the transport / executor / split-phase / obs
+# suites, where the cross-thread mailbox traffic lives.  The defaults are
+# the one list of sanitized suites: CI calls this script without a filter,
+# so a suite added here runs there too.
 #
-# Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [extra ctest -R regex]
+# Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [ctest -R regex]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,11 +23,11 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_executor|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_localize_batch|test_remap_merge|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

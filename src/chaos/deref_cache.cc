@@ -42,6 +42,9 @@ void ensureLocalizeMetrics() {
   reg.registerCounter("localize.deref_cache.retarget_updated", [] {
     return static_cast<double>(g_stats.retargetUpdated);
   });
+  reg.registerCounter("localize.deref_cache.retarget_inserted", [] {
+    return static_cast<double>(g_stats.retargetInserted);
+  });
   reg.registerCounter("localize.deref_cache.expired",
                       [] { return static_cast<double>(g_stats.expired); });
 }
@@ -97,6 +100,14 @@ void DerefCache::insertSorted(std::uint64_t uid,
                               std::span<const Index> globals,
                               std::span<const ElementLoc> locs) {
   MC_CHECK(globals.size() == locs.size());
+  mergeSorted(uid, std::move(live), globals, locs);
+  g_stats.insertions += globals.size();
+}
+
+void DerefCache::mergeSorted(std::uint64_t uid,
+                             std::weak_ptr<const void> live,
+                             std::span<const Index> globals,
+                             std::span<const ElementLoc> locs) {
   if (globals.empty()) return;
   pruneExpired();
   // Make room under the cap by dropping whole shards, oldest table first
@@ -141,7 +152,6 @@ void DerefCache::insertSorted(std::uint64_t uid,
     shard->locs = std::move(merged);
   }
   total_ += globals.size();
-  g_stats.insertions += globals.size();
   g_stats.entries = total_;
 }
 
@@ -157,24 +167,36 @@ bool DerefCache::retarget(std::uint64_t oldUid, std::uint64_t newUid,
   // lookup), but drop it defensively.
   invalidate(newUid);
   Shard* shard = findShard(oldUid);
-  if (shard == nullptr) return false;
-  // Two-pointer pass: both the shard keys and the migrants ascend.  Keys
-  // never change, so the shard stays sorted.
+  const bool carried = shard != nullptr;
+  // Two-pointer pass: both the shard keys and the migrants ascend.  Cached
+  // migrants are rewritten in place (keys never change, so the shard stays
+  // sorted); the rest are collected, already sorted, for one merge.
+  std::vector<Index> addG;
+  std::vector<ElementLoc> addLoc;
   std::size_t r = 0;
   for (const Migrant& mig : sortedMigrants) {
-    while (r < shard->keys.size() && shard->keys[r] < mig.global) ++r;
-    if (r == shard->keys.size()) break;
-    if (shard->keys[r] != mig.global) continue;
-    shard->locs[r] = mig.to();
-    ++g_stats.retargetUpdated;
+    if (shard != nullptr) {
+      while (r < shard->keys.size() && shard->keys[r] < mig.global) ++r;
+      if (r < shard->keys.size() && shard->keys[r] == mig.global) {
+        shard->locs[r] = mig.to();
+        ++g_stats.retargetUpdated;
+        continue;
+      }
+    }
+    addG.push_back(mig.global);
+    addLoc.push_back(mig.to());
   }
-  shard->uid = newUid;
-  shard->live = std::move(newLive);
-  // The old table's shard is gone (rekeyed), which is what invalidations
-  // has always counted; retargets/retargetUpdated record the carry-over.
-  ++g_stats.invalidations;
-  ++g_stats.retargets;
-  return true;
+  if (carried) {
+    shard->uid = newUid;
+    shard->live = newLive;
+    // The old table's shard is gone (rekeyed), which is what invalidations
+    // has always counted; retargets/retargetUpdated record the carry-over.
+    ++g_stats.invalidations;
+    ++g_stats.retargets;
+  }
+  mergeSorted(newUid, std::move(newLive), addG, addLoc);
+  g_stats.retargetInserted += addG.size();
+  return carried;
 }
 
 bool DerefCache::invalidate(std::uint64_t uid) {

@@ -12,11 +12,15 @@
 // cached location can only go stale when the *data* migrates — i.e. at
 // chaos::remap, which hands the old table's shard to the new table on every
 // participating rank (remap is collective, so the hand-over is too) and
-// rewrites the migrants' entries in place from the remap's migrant records
-// (retarget).  Every entry that survives a remap therefore equals what the
-// new table would answer, and remap itself dereferences nothing.  uids are
-// minted from a monotone process-wide counter and never reused; a new table
-// that happens to live at a recycled address cannot alias a stale shard.
+// upserts every migrant from the remap's migrant records (retarget): cached
+// migrants are rewritten in place, the rest are inserted.  Every rank holds
+// every record already, so the upsert sends nothing.  Every entry that
+// survives a remap therefore equals what the new table would answer, every
+// migrant is cached afterwards (a schedule patch over the migrated
+// positions resolves without a miss), and remap itself dereferences
+// nothing.  uids are minted from a monotone process-wide counter and never
+// reused; a new table that happens to live at a recycled address cannot
+// alias a stale shard.
 //
 // Lifetime: each shard holds its table's liveness token weakly
 // (TranslationTable::liveness); once the last copy of a table dies, the
@@ -45,12 +49,13 @@ namespace mc::chaos {
 struct DerefCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;     // entries added
+  std::uint64_t insertions = 0;     // entries added by insertSorted
   std::uint64_t invalidations = 0;  // shards dropped by invalidate()
   std::uint64_t evictions = 0;      // entries dropped by the capacity cap
   std::uint64_t entries = 0;        // current resident entries (gauge)
   std::uint64_t retargets = 0;      // shards carried across a remap
-  std::uint64_t retargetUpdated = 0;  // migrant entries rewritten by retarget
+  std::uint64_t retargetUpdated = 0;   // migrant entries rewritten by retarget
+  std::uint64_t retargetInserted = 0;  // migrant entries added by retarget
   std::uint64_t expired = 0;  // entries pruned because their table died
 };
 
@@ -82,15 +87,17 @@ class DerefCache {
   bool invalidate(std::uint64_t uid);
 
   /// Remap hand-over: rekeys the old table's shard to the new table's uid
-  /// and rewrites every cached entry that `sortedMigrants` names (sorted by
-  /// global — chaos::migrantRecords) with its new (owner, offset).  Every
+  /// and upserts every record of `sortedMigrants` (sorted by global —
+  /// chaos::migrantRecords) with its new (owner, offset): cached migrants
+  /// are rewritten, the others inserted (a rank with no shard for the old
+  /// table starts the new table's shard with the migrants alone).  Every
   /// migrant must have a new owner (a complete new assignment, as
   /// TranslationTable::patched checks).  Survivors resolve identically
   /// under the new table by the migrant-set contract, so after the
-  /// hand-over every cached entry equals the new table's answer and later
-  /// inspector passes hit on every reference cached before the remap,
-  /// moved or not.  The shard takes `newLive`, the new table's liveness
-  /// token.  Returns true when a shard was carried over.
+  /// hand-over every cached entry equals the new table's answer, every
+  /// migrant hits, and later inspector passes hit on every reference cached
+  /// before the remap, moved or not.  The shard takes `newLive`, the new
+  /// table's liveness token.  Returns true when a shard was carried over.
   bool retarget(std::uint64_t oldUid, std::uint64_t newUid,
                 std::weak_ptr<const void> newLive,
                 std::span<const Migrant> sortedMigrants);
@@ -108,6 +115,11 @@ class DerefCache {
   };
 
   Shard* findShard(std::uint64_t uid);
+  /// Merges sorted entries absent from the table's shard into it, making
+  /// room under the cap first; insertSorted and retarget share it.
+  void mergeSorted(std::uint64_t uid, std::weak_ptr<const void> live,
+                   std::span<const layout::Index> globals,
+                   std::span<const ElementLoc> locs);
   /// Drops the shards of tables that no longer exist.
   void pruneExpired();
 

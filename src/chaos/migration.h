@@ -33,11 +33,18 @@ namespace mc::chaos {
 /// local order) and the new one (`newMine`), with both locations.  Indices
 /// owned in only one of the two assignments count as migrated (the other
 /// side's proc is -1).  Every rank returns the same records, sorted by
-/// global index.  Each index's block-home rank compares the two claims —
-/// two all-to-alls and one allgather of the records, however irregular the
-/// distributions.  An index claimed twice in one assignment raises "global
-/// index g owned twice" on its home rank; one outside [0, globalSize)
-/// raises "out of range" on the rank that claims it.
+/// global index.  Each index's block-home rank compares the two claims.
+/// Only slots whose content changed travel (slot i with oldMine[i] !=
+/// newMine[i], or present in one assignment only): the old occupant as a
+/// vacate, the new one as a claim; each rank also sends each home a bitmap
+/// of the home-slice indices it holds in an unchanged slot.  An index is a
+/// migrant iff no rank holds it unchanged and its vacate and claim differ.
+/// One all-to-all and one allgather of the records, however irregular the
+/// distributions.  An index held twice in one assignment (unchanged
+/// holders plus claims) raises "global index g owned twice" on its home
+/// rank, or on the holder when both copies sit in unchanged slots of one
+/// rank; one outside [0, globalSize) raises "out of range" on the rank
+/// that claims it.
 std::vector<Migrant> migrantRecords(transport::Comm& comm,
                                     std::span<const layout::Index> oldMine,
                                     std::span<const layout::Index> newMine,

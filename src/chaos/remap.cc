@@ -74,8 +74,12 @@ RemapPlan planRemap(transport::Comm& comm, const TranslationTable& oldTable,
       migrantRecords(comm, oldMine, newMine, oldTable.globalSize());
   plan.table = std::make_shared<const TranslationTable>(
       oldTable.patched(comm, plan.migrants, storage));
-  derefCache().retarget(oldTable.uid(), plan.table->uid(),
-                        plan.table->liveness(), plan.migrants);
+  // Every rank holds every record, so seeding the cache with each
+  // migrant's new location costs only this merge's CPU.
+  comm.compute([&] {
+    derefCache().retarget(oldTable.uid(), plan.table->uid(),
+                          plan.table->liveness(), plan.migrants);
+  });
   plan.move = comm.computeValue([&] {
     return moveSchedule(comm.rank(), comm.size(),
                         static_cast<Index>(oldMine.size()), plan.migrants);

@@ -4,18 +4,20 @@
 // (Chaos was built for exactly this: "runtime and language support for
 // compiling adaptive irregular programs").  Most elements usually stay put,
 // so remap() works from the migrant set alone.  One collective exchange
-// (chaos::migrantRecords: two all-to-alls to the block-home ranks and one
-// allgather of the records) gives every rank each migrant's old and new
-// (owner, offset).  From those records, locally:
+// (chaos::migrantRecords: one all-to-all of the changed slots to the
+// block-home ranks and one allgather of the records) gives every rank each
+// migrant's old and new (owner, offset).  From those records, locally:
 //  * the new translation table is the old one patched
 //    (TranslationTable::patched) — no rebuild, no table allgather unless
 //    the storage changes from distributed to replicated;
 //  * the move schedule pairs survivors i -> i locally and sends/receives
 //    the migrants in global-index order on both sides — no alltoall and no
 //    translation-table dereference;
-//  * the dereference cache's shard passes to the new table with migrant
-//    entries rewritten to their new locations (DerefCache::retarget), so
-//    an inspector pass after the remap hits on everything it cached before.
+//  * the dereference cache's shard passes to the new table with every
+//    migrant upserted at its new location (DerefCache::retarget), so an
+//    inspector pass after the remap hits on everything it cached before,
+//    and a schedule patch over the migrated positions
+//    (core::patchSchedule) resolves every one of them from the cache.
 // Schedules built against the old distribution (localize results,
 // Meta-Chaos schedules) are invalidated by a remap and must be rebuilt or
 // *patched*: the optional `migratedOut` hands back the sorted migrated
@@ -50,8 +52,9 @@ struct RemapPlan {
 /// and `newMine` a complete, duplicate-free assignment of the same global
 /// indices: an index claimed twice raises "owned twice" on its home rank,
 /// one left out raises "unowned".  Hands the dereference cache's shard to
-/// the new table (DerefCache::retarget) and counts the migrants in the
-/// rank's chaos.remap.migrants counter.
+/// the new table with every migrant upserted (DerefCache::retarget, its
+/// CPU charged to the clock) and counts the migrants in the rank's
+/// chaos.remap.migrants counter.
 RemapPlan planRemap(transport::Comm& comm, const TranslationTable& oldTable,
                     std::span<const layout::Index> oldMine,
                     std::span<const layout::Index> newMine,

@@ -45,6 +45,7 @@ struct Migrant {
   int toProc = -1;
   ElementLoc from() const { return ElementLoc{fromProc, fromOffset}; }
   ElementLoc to() const { return ElementLoc{toProc, toOffset}; }
+  bool operator==(const Migrant&) const = default;
 };
 
 class TranslationTable {

@@ -10,11 +10,13 @@
 // distributes its data.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <typeinfo>
 
 #include "core/region.h"
+#include "layout/dist_delta.h"
 #include "transport/comm.h"
 
 namespace mc::core {
@@ -108,6 +110,27 @@ inline void appendLinElement(std::vector<LinRun>& lane, layout::Index lin,
   appendLinRun(lane, LinRun{lin, off, 1, 0});
 }
 
+/// Calls fn(lo, hi) for each interval of `delta` clipped to [0, n), in
+/// order, skipping those left empty — the position ranges a schedule patch
+/// re-derives.
+template <typename F>
+void forEachDeltaRange(const layout::DistDelta& delta, layout::Index n,
+                       F&& fn) {
+  for (const layout::LinInterval& iv : delta.intervals()) {
+    const layout::Index lo = std::max<layout::Index>(0, iv.lo);
+    const layout::Index hi = std::min(n, iv.hi);
+    if (lo < hi) fn(lo, hi);
+  }
+}
+
+/// Ownership lookups an enumeration paid for: the positions whose owner
+/// came from a table lookup (not from a closed form or a cache hit), and
+/// the modeled seconds of those lookups before any build-method scaling.
+struct LookupCharge {
+  layout::Index lookups = 0;
+  double seconds = 0.0;
+};
+
 class LibraryAdapter {
  public:
   virtual ~LibraryAdapter() = default;
@@ -185,6 +208,20 @@ class LibraryAdapter {
                                   const SetOfRegions& set,
                                   layout::Index linLo, layout::Index linHi,
                                   const RunFn& fn) const;
+
+  /// The schedule patch's inquiry: emits one side's runs over the delta's
+  /// intervals (forEachDeltaRange over the set's positions) in order, a run
+  /// never spanning two intervals, and returns the lookups it paid for.  No
+  /// communication; only valid when supportsLocalEnumeration(obj).  The
+  /// default emits through enumerateRangeRuns and charges
+  /// modeledElementDereferenceCost per position — zero for closed-form
+  /// distributions.  The Chaos adapter resolves the positions through the
+  /// rank's dereference cache, which chaos::remap seeds with every migrant,
+  /// and charges the misses only.
+  virtual LookupCharge enumerateDeltaRuns(const DistObject& obj,
+                                          const SetOfRegions& set,
+                                          const layout::DistDelta& delta,
+                                          const RunFn& fn) const;
 
   /// A cheap, communication-free content digest of the locally held
   /// descriptor state, used as the descriptor's contribution to schedule

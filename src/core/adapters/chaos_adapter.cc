@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "chaos/deref_cache.h"
+#include "core/adapters/run_emitter.h"
 #include "core/schedule_builder.h"
 
 namespace mc::core {
@@ -127,6 +129,67 @@ std::vector<LinLoc> ChaosAdapter::enumerateOwned(const DistObject& obj,
     for (const Rec& rec : row) out.push_back(LinLoc{rec.lin, rec.offset});
   }
   return out;
+}
+
+LookupCharge ChaosAdapter::enumerateDeltaRuns(const DistObject& obj,
+                                              const SetOfRegions& set,
+                                              const layout::DistDelta& delta,
+                                              const RunFn& fn) const {
+  const auto& table = obj.as<TranslationTable>();
+  MC_REQUIRE(table.storage() == TranslationTable::Storage::kReplicated,
+             "a distributed translation table cannot be enumerated locally");
+  // The globals at the migrated positions, in linearization order (both
+  // the intervals and the regions ascend, so one cursor walks the regions).
+  std::vector<Index> globals;
+  std::size_t region = 0;
+  Index base = 0;
+  forEachDeltaRange(delta, set.numElements(), [&](Index lo, Index hi) {
+    for (Index lin = lo; lin < hi; ++lin) {
+      while (lin >= base + set.regions()[region].numElements()) {
+        base += set.regions()[region++].numElements();
+      }
+      globals.push_back(set.regions()[region]
+                            .asIndices()[static_cast<std::size_t>(lin - base)]);
+    }
+  });
+
+  // One sorted probe of the rank's cache.  Misses read the table and are
+  // cached; the runs are built from the cache's answers.
+  std::vector<Index> uniq(globals);
+  std::sort(uniq.begin(), uniq.end());
+  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+  std::vector<ElementLoc> locs(uniq.size());
+  std::vector<std::uint8_t> hit(uniq.size());
+  chaos::ensureLocalizeMetrics();
+  chaos::DerefCache& cache = chaos::derefCache();
+  cache.lookupSorted(table.uid(), uniq, locs.data(), hit.data());
+  std::vector<Index> missG;
+  std::vector<ElementLoc> missLocs;
+  for (std::size_t u = 0; u < uniq.size(); ++u) {
+    if (hit[u]) continue;
+    locs[u] = table.dereferenceLocal(uniq[u]);
+    missG.push_back(uniq[u]);
+    missLocs.push_back(locs[u]);
+  }
+  cache.insertSorted(table.uid(), table.liveness(), missG, missLocs);
+
+  // Every position whose global missed is one lookup, as in a build.
+  LookupCharge charge;
+  std::size_t k = 0;
+  forEachDeltaRange(delta, set.numElements(), [&](Index lo, Index hi) {
+    RunEmitter emit(fn);
+    for (Index lin = lo; lin < hi; ++lin, ++k) {
+      const auto u = static_cast<std::size_t>(
+          std::lower_bound(uniq.begin(), uniq.end(), globals[k]) -
+          uniq.begin());
+      if (!hit[u]) ++charge.lookups;
+      emit.add(lin, locs[u].proc, locs[u].offset, 1, 0);
+    }
+    emit.flush();
+  });
+  charge.seconds =
+      table.modeledQueryCost() * static_cast<double>(charge.lookups);
+  return charge;
 }
 
 double ChaosAdapter::modeledElementDereferenceCost(

@@ -13,7 +13,10 @@
 //  * full local enumeration (the duplication method) needs the whole table:
 //    possible only when it is replicated, and serializing the descriptor
 //    ships O(array size) data — the reason the paper calls duplication
-//    impractical for Chaos data across programs.
+//    impractical for Chaos data across programs;
+//  * a schedule patch (enumerateDeltaRuns) resolves the migrated positions
+//    through the rank's dereference cache, where chaos::remap left every
+//    migrant's new location, so only a cold cache pays the lookup charge.
 #pragma once
 
 #include "chaos/irreg_array.h"
@@ -38,6 +41,10 @@ class ChaosAdapter final : public LibraryAdapter {
                       const std::function<void(layout::Index, int,
                                                layout::Index)>& fn)
       const override;
+  LookupCharge enumerateDeltaRuns(const DistObject& obj,
+                                  const SetOfRegions& set,
+                                  const layout::DistDelta& delta,
+                                  const RunFn& fn) const override;
   double modeledElementDereferenceCost(const DistObject& obj) const override;
   std::uint64_t localFingerprint(const DistObject& obj) const override;
   std::vector<std::byte> serializeDesc(const DistObject& obj,

@@ -97,6 +97,20 @@ void LibraryAdapter::enumerateRangeRuns(const DistObject& obj,
   if (open) fn(cur.lin, curOwner, cur.off, cur.count, cur.offStride);
 }
 
+LookupCharge LibraryAdapter::enumerateDeltaRuns(
+    const DistObject& obj, const SetOfRegions& set,
+    const layout::DistDelta& delta, const RunFn& fn) const {
+  layout::Index positions = 0;
+  forEachDeltaRange(delta, set.numElements(),
+                    [&](layout::Index lo, layout::Index hi) {
+                      enumerateRangeRuns(obj, set, lo, hi, fn);
+                      positions += hi - lo;
+                    });
+  const double cost = modeledElementDereferenceCost(obj);
+  if (cost == 0.0) return {};
+  return LookupCharge{positions, cost * static_cast<double>(positions)};
+}
+
 Registry& Registry::instance() {
   static Registry registry;
   return registry;

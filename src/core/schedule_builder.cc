@@ -29,6 +29,7 @@ thread_local std::uint64_t g_kernelRunList = 0;
 thread_local std::uint64_t g_kernelIndexList = 0;
 thread_local std::uint64_t g_patchCount = 0;
 thread_local std::uint64_t g_patchElementsTotal = 0;
+thread_local std::uint64_t g_patchLookupsTotal = 0;
 
 /// Registers the builder's counters into the rank's registry (idempotent;
 /// called from every build entry point so the metrics exist as soon as a
@@ -57,6 +58,9 @@ void ensureBuildMetrics() {
                       [] { return static_cast<double>(g_patchCount); });
   reg.registerCounter("build.patch_elements_total", [] {
     return static_cast<double>(g_patchElementsTotal);
+  });
+  reg.registerCounter("core.patch.lookups_charged", [] {
+    return static_cast<double>(g_patchLookupsTotal);
   });
 }
 
@@ -1360,38 +1364,51 @@ void mergeSegStreams(const std::vector<Seg>& a, const std::vector<Seg>& b,
   }
 }
 
-/// Derives this rank's fresh send/recv segments for every delta interval by
-/// local enumeration of both new descriptors over just that interval.
-/// Returns the ownership-table bytes materialized.
+/// Derives this rank's fresh send/recv segments for every delta interval
+/// from both new descriptors' delta runs (LibraryAdapter::
+/// enumerateDeltaRuns), adding the lookups both sides paid for to
+/// `lookups`.  Returns the ownership-table bytes materialized.
 std::size_t buildFreshSegs(int me, const LibraryAdapter& srcLib,
                            const DistObject& srcObj, const SetOfRegions& srcSet,
                            const LibraryAdapter& dstLib,
                            const DistObject& dstObj, const SetOfRegions& dstSet,
                            const layout::DistDelta& delta, Index n,
                            std::vector<SendSeg>& sendOut,
-                           std::vector<RecvSeg>& recvOut) {
+                           std::vector<RecvSeg>& recvOut,
+                           LookupCharge& lookups) {
+  std::vector<ChunkTable> src;
+  std::vector<ChunkTable> dst;
+  forEachDeltaRange(delta, n, [&](Index lo, Index hi) {
+    src.emplace_back(lo, hi - lo);
+    dst.emplace_back(lo, hi - lo);
+  });
+  // Runs arrive in linearization order and never span two intervals, so a
+  // cursor routes each to its interval's table.
+  const auto fill = [](std::vector<ChunkTable>& tables, const char* side) {
+    return [&tables, side, k = std::size_t{0}](
+               Index lin, int owner, Index off, Index count,
+               Index offStride) mutable {
+      while (k < tables.size() && tables[k].lo + tables[k].size <= lin) ++k;
+      MC_REQUIRE(k < tables.size(),
+                 "%s element at position %lld lies outside the delta", side,
+                 static_cast<long long>(lin));
+      tables[k].append(lin, owner, off, count, offStride, side);
+    };
+  };
+  const auto charge = [&](const LookupCharge& c) {
+    lookups.lookups += c.lookups;
+    lookups.seconds += c.seconds;
+  };
+  charge(srcLib.enumerateDeltaRuns(srcObj, srcSet, delta, fill(src, "source")));
+  charge(dstLib.enumerateDeltaRuns(dstObj, dstSet, delta,
+                                   fill(dst, "destination")));
   std::size_t tableBytes = 0;
-  for (const layout::LinInterval& ivRaw : delta.intervals()) {
-    const Index lo = std::max<Index>(0, ivRaw.lo);
-    const Index hi = std::min(n, ivRaw.hi);
-    if (hi <= lo) continue;
-    ChunkTable src(lo, hi - lo);
-    ChunkTable dst(lo, hi - lo);
-    srcLib.enumerateRangeRuns(
-        srcObj, srcSet, lo, hi,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          src.append(lin, owner, off, count, offStride, "source");
-        });
-    dstLib.enumerateRangeRuns(
-        dstObj, dstSet, lo, hi,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          dst.append(lin, owner, off, count, offStride, "destination");
-        });
-    src.checkComplete("source");
-    dst.checkComplete("destination");
-    tableBytes += src.tableBytes() + dst.tableBytes();
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
+  for (std::size_t k = 0; k < src.size(); ++k) {
+    src[k].checkComplete("source");
+    dst[k].checkComplete("destination");
+    tableBytes += src[k].tableBytes() + dst[k].tableBytes();
+    joinTables(src[k], dst[k], [&](const OwnedRun& s, const OwnedRun& d,
+                                   Index pos, Index count) {
       if (s.owner == me) {
         appendSendRun(sendOut,
                       SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
@@ -1582,20 +1599,14 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
   McSchedule out;
   out.numElements = n;
   out.plan.bufferLocalCopies = false;
-  // Re-deriving ownership for the migrated positions costs what the
-  // duplication build would charge for that many elements — the modeled
-  // cost scales with the migration, not the set.
   const Index migrated = std::min(n, delta.migratedElements());
-  comm.advance(2.0 *
-               (srcLib.modeledElementDereferenceCost(newSrcObj) +
-                dstLib.modeledElementDereferenceCost(newDstObj)) *
-               static_cast<double>(migrated) / comm.size());
+  LookupCharge lookups;
   comm.compute([&] {
     std::vector<SendSeg> freshSend;
     std::vector<RecvSeg> freshRecv;
     g_buildStats.ownershipTableBytes +=
         buildFreshSegs(me, srcLib, newSrcObj, srcSet, dstLib, newDstObj,
-                       dstSet, delta, n, freshSend, freshRecv);
+                       dstSet, delta, n, freshSend, freshRecv, lookups);
     std::vector<SendSeg> keptSend;
     std::vector<RecvSeg> keptRecv;
     subtractDelta(old.sendSegs, delta.intervals(), sliceSendSeg,
@@ -1617,6 +1628,16 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
                     });
     assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
+  // Each lookup the adapters paid for costs what the duplication build
+  // charges per element (2 x cost / nprocs).  A Chaos side pays only its
+  // dereference-cache misses, and remap seeds the cache with every
+  // migrant, so a drift epoch's patch charges nothing here; against a cold
+  // cache every migrated position is one lookup.
+  const double lookupSeconds = 2.0 * lookups.seconds / comm.size();
+  comm.advance(lookupSeconds);
+  g_patchStats.lookupsCharged = lookups.lookups;
+  g_patchStats.lookupSeconds = lookupSeconds;
+  g_patchLookupsTotal += static_cast<std::uint64_t>(lookups.lookups);
   out.hasProvenance = true;
   recordKernelDispatch(out.plan);
   noteBuildDone();

@@ -119,13 +119,19 @@ bool patchableSchedule(const McSchedule& old, const DistObject& newSrcObj,
 /// inspector rebuild.  `delta` marks every linearization position whose
 /// (owner, offset) mapping changed on either side (over-approximation is
 /// safe); `newSrcObj`/`newDstObj` describe the *new* distributions.  Only
-/// segments intersecting the delta are re-derived (one local ownership
-/// enumeration per migrated interval); everything else is reused from the
-/// old schedule's provenance via two-pointer interval subtraction.  The
-/// result — plans and provenance — is bit-identical to a fresh
-/// computeSchedule of the new distributions, so patched schedules are
-/// themselves patchable.  Collective only in modeled cost (no messages);
-/// every rank must call it with the same delta.
+/// segments intersecting the delta are re-derived (each side's
+/// LibraryAdapter::enumerateDeltaRuns over the migrated intervals);
+/// everything else is reused from the old schedule's provenance via
+/// two-pointer interval subtraction.  The result — plans and provenance —
+/// is bit-identical to a fresh computeSchedule of the new distributions,
+/// so patched schedules are themselves patchable.  Cost model: each
+/// ownership lookup the adapters report costs 2 x its modeled cost /
+/// nprocs (the duplication build's per-element charge).  A Chaos side
+/// looks the migrated positions up in the rank's dereference cache and
+/// pays for misses only; chaos::remap seeds that cache with every
+/// migrant, so the patch after a remap charges no lookup, while a cold
+/// cache pays one per migrated position.  No messages; every rank must
+/// call it with the same delta.
 McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
                          const layout::DistDelta& delta,
                          const DistObject& newSrcObj,
@@ -183,6 +189,10 @@ struct PatchStats {
   std::size_t segmentsReused = 0;   ///< old provenance slices kept as-is
   std::size_t segmentsRebuilt = 0;  ///< fresh segments from delta intervals
   layout::Index elementsPatched = 0;  ///< delta positions re-derived
+  /// Ownership lookups charged (LibraryAdapter::enumerateDeltaRuns): the
+  /// Chaos side's dereference-cache misses, zero after a chaos::remap.
+  layout::Index lookupsCharged = 0;
+  double lookupSeconds = 0.0;  ///< modeled seconds those lookups advanced
 };
 const PatchStats& lastPatchStats();
 

@@ -7,7 +7,7 @@
 // both storage policies.  Plus the dereference-cache contract: hit/miss
 // accounting via obs snapshot diffs, uid keying across live tables, the
 // stale-cache regression (chaos::remap takes the old table's shard away on
-// every rank and rewrites its migrant entries for the new table), and shard
+// every rank and upserts every migrant for the new table), and shard
 // lifetime (a dead table's shard is pruned, a remapped one survives with its
 // new table).
 #include <gtest/gtest.h>
@@ -241,6 +241,12 @@ TEST(DerefCache, RemapInvalidatesOldTableShard) {
     (void)localize(c, *table, refs);
     const double entriesBefore =
         obs::threadRegistry().snapshot().get("localize.deref_cache.entries");
+    std::vector<Index> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), Index{0});
+    std::vector<ElementLoc> locs(all.size());
+    std::vector<std::uint8_t> cachedBefore(all.size());
+    (void)derefCache().lookupSorted(table->uid(), all, locs.data(),
+                                    cachedBefore.data());
 
     const obs::Snapshot before = obs::threadRegistry().snapshot();
     std::vector<Index> migrated;
@@ -249,19 +255,37 @@ TEST(DerefCache, RemapInvalidatesOldTableShard) {
               Storage::kDistributed, &migrated);
     const obs::Snapshot diff = obs::threadRegistry().snapshot() - before;
     // remap took the old table's shard on this rank and handed it to the
-    // new table: nothing dropped, the cached migrants rewritten in place.
+    // new table: nothing dropped, the cached migrants rewritten in place
+    // and the uncached ones inserted, so the entries grow by exactly those.
+    std::size_t wasCached = 0;
+    for (const Index g : migrated) {
+      wasCached += cachedBefore[static_cast<std::size_t>(g)];
+    }
     EXPECT_GE(diff.get("localize.deref_cache.invalidations"), 1.0);
+    EXPECT_EQ(diff.get("localize.deref_cache.retarget_updated"),
+              static_cast<double>(wasCached));
+    EXPECT_EQ(diff.get("localize.deref_cache.retarget_inserted"),
+              static_cast<double>(migrated.size() - wasCached));
     EXPECT_EQ(obs::threadRegistry().snapshot().get(
                   "localize.deref_cache.entries"),
-              entriesBefore);
-    std::vector<chaos::ElementLoc> locs(migrated.size());
+              entriesBefore + static_cast<double>(migrated.size() - wasCached));
+    // Every migrant hits under the new table.
     std::vector<std::uint8_t> hit(migrated.size());
-    const std::size_t cachedMigrants = derefCache().lookupSorted(
-        moved.table().uid(), migrated, locs.data(), hit.data());
-    EXPECT_EQ(diff.get("localize.deref_cache.retarget_updated"),
-              static_cast<double>(cachedMigrants));
+    EXPECT_EQ(derefCache().lookupSorted(moved.table().uid(), migrated,
+                                        locs.data(), hit.data()),
+              migrated.size());
     EXPECT_EQ(diff.get("chaos.remap.migrants"),
               static_cast<double>(migrated.size()));
+    // Every cached entry equals an uncached dereference of the new table.
+    const std::vector<ElementLoc> truth = moved.table().dereference(c, all);
+    std::vector<std::uint8_t> cachedNow(all.size());
+    (void)derefCache().lookupSorted(moved.table().uid(), all, locs.data(),
+                                    cachedNow.data());
+    for (std::size_t g = 0; g < all.size(); ++g) {
+      if (cachedNow[g]) {
+        EXPECT_EQ(locs[g], truth[g]) << "global " << g;
+      }
+    }
     // Data survived the move.
     for (size_t i = 0; i < moved.myGlobals().size(); ++i) {
       EXPECT_EQ(moved.raw()[i],

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <numeric>
 #include <random>
+#include <regex>
 #include <string>
 
 #include "chaos/deref_cache.h"
@@ -17,6 +18,7 @@
 #include "chaos/migration.h"
 #include "chaos/partition.h"
 #include "chaos/remap.h"
+#include "oracles/migrant_records.h"
 #include "oracles/reference_executor.h"
 #include "parti/dist_array.h"
 #include "transport/world.h"
@@ -307,6 +309,107 @@ TEST(Remap, PatchedTableMatchesFreshBuildAndOldMovePath) {
   EXPECT_GT(offsetOnly, 0u);
   EXPECT_GT(grew, 0u);
   EXPECT_GT(shrank, 0u);
+}
+
+/// One migrantRecords run: every rank's records, or the named error the
+/// world raised ("global index g owned twice" / "... out of range").
+struct RecordsOutcome {
+  std::vector<std::vector<chaos::Migrant>> perRank;
+  std::string error;
+};
+
+template <typename Records>
+RecordsOutcome recordsOutcome(const Assignment& oldA, const Assignment& newA,
+                              Index n, Records records) {
+  RecordsOutcome out;
+  out.perRank.resize(oldA.size());
+  try {
+    World::runSPMD(static_cast<int>(oldA.size()), [&](Comm& c) {
+      const auto me = static_cast<std::size_t>(c.rank());
+      out.perRank[me] = records(c, oldA[me], newA[me], n);
+    });
+  } catch (const Error& e) {
+    // The message carries the raising source line; compare the named
+    // error only.
+    static const std::regex named("global index [0-9]+ [a-z ]+");
+    std::cmatch m;
+    const std::string what = e.what();
+    out.error = std::regex_search(what.c_str(), m, named) ? m.str() : what;
+    out.perRank.clear();
+  }
+  return out;
+}
+
+/// Claims global `g` a second time in `a`, on a random rank.
+void duplicate(Assignment& a, Index g, std::mt19937& rng) {
+  a[std::uniform_int_distribution<std::size_t>(0, a.size() - 1)(rng)]
+      .push_back(g);
+}
+
+// Differential fuzz: the changed-slot routing of chaos::migrantRecords
+// gives the full-routing oracle's records on complete, partial and
+// duplicated assignments over 2-5 ranks, or raises the same named error.
+// A duplicated case holds exactly one index twice, so every rank that
+// raises names the same index.
+TEST(Remap, MigrantRecordsMatchFullRoutingOracle) {
+  std::size_t raised = 0, partialOk = 0;
+  for (int np = 2; np <= 5; ++np) {
+    for (int trial = 0; trial < 24; ++trial) {
+      std::mt19937 rng(7000u * static_cast<unsigned>(np) +
+                       static_cast<unsigned>(trial));
+      const Index n = 5 + (13 * trial) % 97;
+      Assignment oldA = randomAssignment(n, np, rng);
+      Assignment newA = drift(oldA, n, 1 + trial % 7, trial % 4 != 3, rng);
+      std::uniform_int_distribution<Index> pickG(0, n - 1);
+      const int kind = trial % 6;
+      if (kind == 1 || kind == 2 || kind == 5) {
+        // Partial: a few indices unowned in the new assignment (2), the
+        // old one (5) or both (1).
+        for (int k = 0; k < 1 + trial % 3; ++k) {
+          const Index g = pickG(rng);
+          if (kind != 2) {
+            for (auto& lane : oldA) std::erase(lane, g);
+          }
+          if (kind != 5) {
+            for (auto& lane : newA) std::erase(lane, g);
+          }
+        }
+      } else if (kind == 3) {
+        // One index held twice: in the old assignment, the new one or both.
+        const Index g = pickG(rng);
+        if (trial % 3 != 1) duplicate(oldA, g, rng);
+        if (trial % 3 != 0) duplicate(newA, g, rng);
+      } else if (kind == 4) {
+        // One rank holds an index in two unchanged slots (never routed).
+        auto& o = oldA[static_cast<std::size_t>(trial % np)];
+        auto& w = newA[static_cast<std::size_t>(trial % np)];
+        const std::size_t len = std::min(o.size(), w.size());
+        o.resize(len);
+        w.resize(len);
+        const Index g = pickG(rng);
+        o.insert(o.end(), {g, g});
+        w.insert(w.end(), {g, g});
+      }
+      const RecordsOutcome got = recordsOutcome(
+          oldA, newA, n,
+          [](Comm& c, std::span<const Index> o, std::span<const Index> w,
+             Index size) { return chaos::migrantRecords(c, o, w, size); });
+      const RecordsOutcome want = recordsOutcome(
+          oldA, newA, n,
+          [](Comm& c, std::span<const Index> o, std::span<const Index> w,
+             Index size) {
+            return chaos::reference::migrantRecords(c, o, w, size);
+          });
+      EXPECT_EQ(got.error, want.error) << "np=" << np << " trial=" << trial;
+      EXPECT_EQ(got.perRank, want.perRank)
+          << "np=" << np << " trial=" << trial;
+      raised += want.error.empty() ? 0 : 1;
+      partialOk += want.error.empty() && kind != 0 ? 1 : 0;
+    }
+  }
+  // The fuzz really covered both outcomes and the partial contract.
+  EXPECT_GT(raised, 0u);
+  EXPECT_GT(partialOk, 0u);
 }
 
 TEST(ScheduleMerge, OneMessagePerPeerForGroupedTransfers) {

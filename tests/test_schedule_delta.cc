@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <random>
 
 #include "chaos/deref_cache.h"
 #include "chaos/migration.h"
@@ -625,8 +626,8 @@ TEST(ScheduleDelta, RebindMatchesFreshExecutorAndKeepsBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// DerefCache::retarget — survivors carry across a remap, migrants are
-// rewritten in place.
+// DerefCache::retarget — survivors carry across a remap, every migrant is
+// upserted: rewritten in place when cached, inserted otherwise.
 
 TEST(ScheduleDelta, DerefCacheRetargetKeepsSurvivors) {
   chaos::DerefCache cache;
@@ -640,29 +641,44 @@ TEST(ScheduleDelta, DerefCacheRetargetKeepsSurvivors) {
   // 2 and 9 stay.
   const std::vector<chaos::Migrant> migrants = {
       {5, 20, 7, 1, 2}, {11, 3, 4, 0, 1}, {14, 40, 41, 3, 3}};
-  const auto updatedBefore = chaos::derefCacheStats().retargetUpdated;
+  const auto before = chaos::derefCacheStats();
   EXPECT_TRUE(cache.retarget(9001, 9002, newTable, migrants));
-  EXPECT_EQ(cache.entryCount(), 4u);
-  EXPECT_EQ(chaos::derefCacheStats().retargetUpdated - updatedBefore, 2u);
+  // The uncached migrant 11 was inserted.
+  EXPECT_EQ(cache.entryCount(), 5u);
+  EXPECT_EQ(chaos::derefCacheStats().retargetUpdated - before.retargetUpdated,
+            2u);
+  EXPECT_EQ(
+      chaos::derefCacheStats().retargetInserted - before.retargetInserted,
+      1u);
+  EXPECT_EQ(chaos::derefCacheStats().insertions, before.insertions);
   // Old uid: everything misses (the shard was rekeyed).
-  std::vector<chaos::ElementLoc> out(keys.size());
-  std::vector<std::uint8_t> hit(keys.size());
-  EXPECT_EQ(cache.lookupSorted(9001, keys, out.data(), hit.data()), 0u);
-  // New uid: survivors hit with their carried locations, the migrants with
-  // their new ones.
-  EXPECT_EQ(cache.lookupSorted(9002, keys, out.data(), hit.data()), 4u);
+  const std::vector<Index> probe = {2, 5, 9, 11, 14};
+  std::vector<chaos::ElementLoc> out(probe.size());
+  std::vector<std::uint8_t> hit(probe.size());
+  EXPECT_EQ(cache.lookupSorted(9001, probe, out.data(), hit.data()), 0u);
+  // New uid: survivors hit with their carried locations, every migrant
+  // with its new one.
+  EXPECT_EQ(cache.lookupSorted(9002, probe, out.data(), hit.data()), 5u);
   EXPECT_EQ(out[0], (chaos::ElementLoc{0, 10}));
   EXPECT_EQ(out[1], (chaos::ElementLoc{2, 7}));
   EXPECT_EQ(out[2], (chaos::ElementLoc{2, 30}));
-  EXPECT_EQ(out[3], (chaos::ElementLoc{3, 41}));
+  EXPECT_EQ(out[3], (chaos::ElementLoc{1, 4}));
+  EXPECT_EQ(out[4], (chaos::ElementLoc{3, 41}));
+
+  // A rank with no shard for the old table starts the new table's shard
+  // with the migrants alone (nothing was carried over).
+  EXPECT_FALSE(cache.retarget(9100, 9101, newTable, migrants));
+  EXPECT_EQ(cache.entryCount(), 8u);
+  EXPECT_EQ(cache.lookupSorted(9101, probe, out.data(), hit.data()), 3u);
+  EXPECT_EQ(hit, (std::vector<std::uint8_t>{0, 1, 0, 1, 1}));
 }
 
 // Stats-diff regression: remap makes no translation-table dereference at
 // all — the new table, the move schedule and the cache update all come from
-// the migrant records — and hands the warm shard to the new table with its
-// migrant entries rewritten, so every cached entry still equals the new
-// table's answer and the next inspector pass over the same references hits
-// on every one of them, moved or not.
+// the migrant records — and hands the warm shard to the new table with
+// every migrant upserted, so every cached entry still equals the new
+// table's answer, every migrant hits, and the next inspector pass over the
+// same references hits on every one of them, moved or not.
 TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
   World::runSPMD(kProcs, [](Comm& c) {
     const Index n = 64;
@@ -696,13 +712,16 @@ TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
         ++myMigrated;
       }
     }
+    const std::size_t inserted = migrated.size() - myMigrated;
     EXPECT_EQ(after.retargets - before.retargets, 1u);
     EXPECT_EQ(after.retargetUpdated - before.retargetUpdated, myMigrated);
+    EXPECT_EQ(after.retargetInserted - before.retargetInserted, inserted);
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_EQ(after.entries, before.entries + inserted);
 
-    // Every cached entry equals an uncached dereference of the new table.
+    // Every cached entry equals an uncached dereference of the new table;
+    // the cache holds the old part plus the migrants it did not hold.
     std::vector<Index> all(static_cast<std::size_t>(n));
     std::iota(all.begin(), all.end(), Index{0});
     const auto truth = fresh.table().dereference(c, all);
@@ -710,11 +729,14 @@ TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
     std::vector<std::uint8_t> hit(all.size());
     EXPECT_EQ(chaos::derefCache().lookupSorted(fresh.table().uid(), all,
                                                cached.data(), hit.data()),
-              myOld.size());
+              myOld.size() + inserted);
     for (std::size_t g = 0; g < all.size(); ++g) {
       if (hit[g]) {
         EXPECT_EQ(cached[g], truth[g]) << "global " << g;
       }
+    }
+    for (const Index g : migrated) {
+      EXPECT_TRUE(hit[static_cast<std::size_t>(g)]) << "migrant " << g;
     }
     // The moved data arrived intact.
     const auto gathered = fresh.gatherGlobal();
@@ -722,6 +744,184 @@ TEST(ScheduleDelta, RemapKeepsDerefCacheHitsForSurvivors) {
       EXPECT_EQ(gathered[static_cast<std::size_t>(g)],
                 static_cast<double>(g));
     }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The cache-resolved patch: remap seeds every migrant's new location, so the
+// Meta-Chaos schedule patch that follows charges no dereference.
+
+/// Every rank's part of an n-element assignment over np ranks, random.
+std::vector<std::vector<Index>> randomParts(Index n, int np,
+                                            std::mt19937& rng) {
+  std::vector<std::vector<Index>> parts(static_cast<std::size_t>(np));
+  std::uniform_int_distribution<int> owner(0, np - 1);
+  for (Index g = 0; g < n; ++g) {
+    parts[static_cast<std::size_t>(owner(rng))].push_back(g);
+  }
+  return parts;
+}
+
+/// `moves` random elements change owner; survivors keep their slots.
+std::vector<std::vector<Index>> driftParts(
+    const std::vector<std::vector<Index>>& old, Index n, int moves,
+    std::mt19937& rng) {
+  const int np = static_cast<int>(old.size());
+  std::vector<int> owner(static_cast<std::size_t>(n));
+  for (int r = 0; r < np; ++r) {
+    for (const Index g : old[static_cast<std::size_t>(r)]) {
+      owner[static_cast<std::size_t>(g)] = r;
+    }
+  }
+  std::uniform_int_distribution<Index> pickG(0, n - 1);
+  std::uniform_int_distribution<int> pickR(0, np - 1);
+  for (int k = 0; k < moves; ++k) {
+    owner[static_cast<std::size_t>(pickG(rng))] = pickR(rng);
+  }
+  std::vector<std::vector<Index>> next(static_cast<std::size_t>(np));
+  for (Index g = 0; g < n; ++g) {
+    next[static_cast<std::size_t>(owner[static_cast<std::size_t>(g)])]
+        .push_back(g);
+  }
+  for (std::size_t r = 0; r < next.size(); ++r) {
+    next[r] = chaos::stableRemapOrder(old[r], next[r]);
+  }
+  return next;
+}
+
+// Fuzzed drifts on 2-5 ranks with replicated tables, the Chaos array on
+// either side of an HPF copy: remap -> deltaFromMigratedIndices ->
+// getOrPatch gives computeSchedule's plans and provenance, makes no
+// dereference-cache miss and charges no lookup.  Against a fresh table of
+// the same assignment (a cold cache) the same patch charges one lookup per
+// migrated position, 2 x cost x migrated / nprocs on the clock — what every
+// patch charged before remap seeded the cache — and caches them.
+TEST(ScheduleDelta, RemapSeededPatchChargesNoLookups) {
+  using Storage = TranslationTable::Storage;
+  std::size_t patchedPositions = 0;
+  for (int np = 2; np <= 5; ++np) {
+    World::runSPMD(np, [&](Comm& c) {
+      for (int trial = 0; trial < 6; ++trial) {
+        std::mt19937 rng(300u * static_cast<unsigned>(np) +
+                         static_cast<unsigned>(trial));
+        const Index n = 20 + 9 * trial;
+        const double cost = 1e-6 * (1 + trial % 3);
+        const bool chaosIsSrc = trial % 2 == 0;
+        const auto oldParts = randomParts(n, np, rng);
+        const auto newParts = driftParts(oldParts, n, 1 + trial % 4 + np, rng);
+        const auto me = static_cast<std::size_t>(c.rank());
+
+        auto table = std::make_shared<const TranslationTable>(
+            TranslationTable::build(c, oldParts[me], n, Storage::kReplicated,
+                                    cost));
+        IrregArray<double> x(c, table, oldParts[me]);
+        // The Chaos set: as a source it reads some globals twice.
+        std::vector<Index> ids;
+        const Index m = chaosIsSrc ? n + n / 4 : n;
+        for (Index k = 0; k < m; ++k) {
+          ids.push_back(chaosIsSrc ? (7 * k + 3) % n : (n - 1 - k));
+        }
+        SetOfRegions chaosSet;
+        chaosSet.add(Region::indices(ids));
+        hpfrt::HpfArray<double> h(
+            c, hpfrt::HpfDist(Shape::of({m}),
+                              {hpfrt::DimDist{hpfrt::DistKind::kBlock,
+                                              c.size(), 1}}));
+        SetOfRegions hpfSet;
+        hpfSet.add(Region::section(RegularSection::of({0}, {m - 1}, {1})));
+        const DistObject hObj = HpfAdapter::describe(h);
+        const DistObject oldObj = ChaosAdapter::describe(x);
+
+        ScheduleCache cache;
+        const auto old =
+            chaosIsSrc ? cache.getOrBuild(c, oldObj, chaosSet, hObj, hpfSet)
+                       : cache.getOrBuild(c, hObj, hpfSet, oldObj, chaosSet);
+        std::vector<Index> migrated;
+        IrregArray<double> y =
+            chaos::remap(x, newParts[me], Storage::kReplicated, &migrated);
+        const DistObject newObj = ChaosAdapter::describe(y);
+        const DistDelta delta = deltaFromMigratedIndices(chaosSet, migrated);
+
+        const auto before = chaos::derefCacheStats();
+        const auto patched =
+            chaosIsSrc ? cache.getOrPatch(c, oldObj, newObj, chaosSet, hObj,
+                                          hObj, hpfSet, delta)
+                       : cache.getOrPatch(c, hObj, hObj, hpfSet, oldObj,
+                                          newObj, chaosSet, delta);
+        const PatchStats stats = lastPatchStats();
+        EXPECT_EQ(cache.patches(), 1u);
+        EXPECT_EQ(chaos::derefCacheStats().misses, before.misses);
+        EXPECT_EQ(stats.lookupsCharged, 0);
+        EXPECT_EQ(stats.lookupSeconds, 0.0);
+        const McSchedule fresh =
+            chaosIsSrc ? computeSchedule(c, newObj, chaosSet, hObj, hpfSet)
+                       : computeSchedule(c, hObj, hpfSet, newObj, chaosSet);
+        expectSchedEqual(*patched, fresh);
+
+        // Cold cache: a fresh table of the same assignment has no shard.
+        const auto coldTable = std::make_shared<const TranslationTable>(
+            TranslationTable::build(c, newParts[me], n, Storage::kReplicated,
+                                    cost));
+        const DistObject coldObj("chaos", coldTable);
+        const auto coldPatch = [&] {
+          return chaosIsSrc ? patchSchedule(c, *old, delta, coldObj, chaosSet,
+                                            hObj, hpfSet)
+                            : patchSchedule(c, *old, delta, hObj, hpfSet,
+                                            coldObj, chaosSet);
+        };
+        expectSchedEqual(coldPatch(), fresh);
+        const Index positions = delta.migratedElements();
+        EXPECT_EQ(lastPatchStats().lookupsCharged, positions);
+        EXPECT_DOUBLE_EQ(lastPatchStats().lookupSeconds,
+                         2.0 * cost * static_cast<double>(positions) /
+                             c.size());
+        // Its misses were cached: patching again charges nothing.
+        expectSchedEqual(coldPatch(), fresh);
+        EXPECT_EQ(lastPatchStats().lookupsCharged, 0);
+        if (c.rank() == 0) patchedPositions += static_cast<std::size_t>(positions);
+      }
+    });
+  }
+  EXPECT_GT(patchedPositions, 0u);
+}
+
+// The Chaos side of a patch takes each migrated position's location from
+// the rank's dereference cache, not from the table: a (deliberately wrong)
+// cached entry is what the runs carry, and only the misses are charged.
+TEST(ScheduleDelta, ChaosDeltaRunsComeFromTheCache) {
+  World::runSPMD(2, [](Comm& c) {
+    const Index n = 8;
+    const std::vector<Index> mine =
+        c.rank() == 0 ? std::vector<Index>{0, 1, 2, 3}
+                      : std::vector<Index>{4, 5, 6, 7};
+    const auto table = std::make_shared<const TranslationTable>(
+        TranslationTable::build(c, mine, n,
+                                TranslationTable::Storage::kReplicated, 1e-6));
+    const std::vector<Index> poisoned = {5};
+    const std::vector<chaos::ElementLoc> wrong = {{0, 99}};
+    chaos::derefCache().insertSorted(table->uid(), table->liveness(),
+                                     poisoned, wrong);
+    SetOfRegions set;
+    set.add(Region::indices({7, 5, 6, 1}));
+    DistDelta delta;
+    delta.add(1, 4);  // globals 5, 6, 1
+    std::vector<LinRun> runs;
+    std::vector<int> owners;
+    const LookupCharge charge = ChaosAdapter{}.enumerateDeltaRuns(
+        DistObject("chaos", table), set, delta,
+        [&](Index lin, int owner, Index off, Index count, Index stride) {
+          runs.push_back(LinRun{lin, off, count, stride});
+          owners.push_back(owner);
+        });
+    EXPECT_EQ(charge.lookups, 2);
+    EXPECT_DOUBLE_EQ(charge.seconds, 2e-6);
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[0], (LinRun{1, 99, 1, 0}));
+    EXPECT_EQ(owners[0], 0);
+    EXPECT_EQ(runs[1], (LinRun{2, 2, 1, 0}));
+    EXPECT_EQ(owners[1], 1);
+    EXPECT_EQ(runs[2], (LinRun{3, 1, 1, 0}));
+    EXPECT_EQ(owners[2], 0);
   });
 }
 
