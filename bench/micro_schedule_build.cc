@@ -4,20 +4,21 @@
 // per-rank ownership-table footprint for three library pairings:
 //
 //   * regular -> regular     (parti block -> hpf block): every section row
-//     is one run, so the run-native build is O(runs) in both time and
-//     table bytes while the element-wise reference pays one table entry
-//     per element;
+//     is one run, so the build is O(runs) in both time and table bytes;
 //   * regular -> irregular   (parti block -> chaos distributed): the
 //     regular side compresses, the irregular side stays per-element;
 //   * irregular -> irregular (chaos -> chaos, different partitions and a
 //     shuffled index set): the adversarial floor — runs degenerate to
-//     single elements; the run-native pipeline leans on the batched
-//     dereference cache, so repeat builds resolve locally while the
-//     element-wise reference re-asks the table's home processors each rep.
+//     single elements, and the build leans on the batched dereference
+//     cache, so repeat builds resolve locally.
 //
 // Each case reports the cold (first) and warm (subsequent) build times
 // separately plus the localize.deref_cache hit/miss counters, so the
-// inspector-reuse win is visible next to the averaged build time.
+// inspector-reuse win is visible next to the averaged build time.  Beside
+// the measured table bytes it reports `elementwise_table_bytes`, the
+// closed-form footprint of a one-entry-per-element cooperation table pair,
+// 2 x ceil(n / procs) x (sizeof(int) + sizeof(Index)), so the table-memory
+// comparison keeps its reference.
 //
 // Emits BENCH_schedule_build.json (obs::BenchReport, mc-bench-v1) next to
 // the ascii table so the perf trajectory is machine-trackable.
@@ -57,13 +58,6 @@ struct Measurement {
   double derefMisses = 0;       // deref-cache misses, summed over ranks
 };
 
-struct Case {
-  const char* name;
-  // Returns (srcObj, srcSet, dstObj, dstSet) holders; built inside the SPMD
-  // region so each mode pass sees identical deterministic inputs.
-  std::function<Measurement(bool elementwise)> run;
-};
-
 std::vector<Index> iotaIds(Index n) {
   std::vector<Index> ids(static_cast<size_t>(n));
   std::iota(ids.begin(), ids.end(), Index{0});
@@ -91,10 +85,9 @@ std::shared_ptr<chaos::IrregArray<double>> makeIrreg(transport::Comm& c,
 }
 
 /// Runs kReps cooperation builds of (srcObj, srcSet) -> (dstObj, dstSet)
-/// under the current pipeline mode and reports time and peak table bytes.
+/// and reports time and peak table bytes.
 template <typename MakeFn>
-Measurement measure(bool elementwise, MakeFn&& make) {
-  const bool prev = core::testing::buildElementwiseForTest(elementwise);
+Measurement measure(MakeFn&& make) {
   Measurement out;
   transport::World::runSPMD(kProcs, [&](transport::Comm& c) {
     auto [srcObj, srcSet, dstObj, dstSet, holder] = make(c);
@@ -124,15 +117,8 @@ Measurement measure(bool elementwise, MakeFn&& make) {
       out.derefMisses = misses;
     }
   });
-  core::testing::buildElementwiseForTest(prev);
   return out;
 }
-
-struct MadeCase {
-  core::DistObject srcObj, dstObj;
-  core::SetOfRegions srcSet, dstSet;
-  std::shared_ptr<void> holder;
-};
 
 }  // namespace
 
@@ -192,25 +178,28 @@ int main(int argc, char** argv) {
 
   struct Result {
     const char* name;
-    Measurement elem, runs;
+    const char* jsonName;
+    Measurement runs;
   };
-  std::vector<Result> results;
-  results.push_back({"regular->regular",
-                     measure(true, makeRegularRegular),
-                     measure(false, makeRegularRegular)});
-  results.push_back({"regular->irregular",
-                     measure(true, makeRegularIrregular),
-                     measure(false, makeRegularIrregular)});
-  results.push_back({"irregular->irregular",
-                     measure(true, makeIrregularIrregular),
-                     measure(false, makeIrregularIrregular)});
+  const std::vector<Result> results = {
+      {"regular->regular", "regular_to_regular", measure(makeRegularRegular)},
+      {"regular->irregular", "regular_to_irregular",
+       measure(makeRegularIrregular)},
+      {"irregular->irregular", "irregular_to_irregular",
+       measure(makeIrregularIrregular)},
+  };
+  // One entry per element on both sides of a cooperation chunk.
+  const double elementwiseTableBytes =
+      2.0 * static_cast<double>((n + kProcs - 1) / kProcs) *
+      static_cast<double>(sizeof(int) + sizeof(Index));
 
   std::vector<std::string> cols;
-  std::vector<double> elemT, runT;
+  std::vector<double> buildT, coldT, warmT;
   for (const Result& r : results) {
     cols.push_back(r.name);
-    elemT.push_back(r.elem.buildSeconds);
-    runT.push_back(r.runs.buildSeconds);
+    buildT.push_back(r.runs.buildSeconds);
+    coldT.push_back(r.runs.coldBuildSeconds);
+    warmT.push_back(r.runs.warmBuildSeconds);
   }
   std::printf("%s\n",
               bench::renderTable(
@@ -219,26 +208,16 @@ int main(int argc, char** argv) {
                             static_cast<long long>(n), kProcs),
                   cols,
                   {
-                      bench::Row{"element-wise reference", elemT, {}},
-                      bench::Row{"run-native interval join", runT, {}},
+                      bench::Row{"average", buildT, {}},
+                      bench::Row{"cold (first build)", coldT, {}},
+                      bench::Row{"warm (repeat builds)", warmT, {}},
                   })
                   .c_str());
   for (const Result& r : results) {
     std::printf(
-        "%-22s build speedup %5.1fx   peak table bytes/rank: "
-        "%9.0f -> %7.0f (%5.1fx smaller)\n",
-        r.name, r.runs.buildSeconds > 0
-                    ? r.elem.buildSeconds / r.runs.buildSeconds
-                    : 0.0,
-        r.elem.peakTableBytes, r.runs.peakTableBytes,
-        r.runs.peakTableBytes > 0
-            ? r.elem.peakTableBytes / r.runs.peakTableBytes
-            : 0.0);
-    std::printf(
-        "%-22s run-native cold/warm: %s / %s ms   deref cache "
-        "hits/misses: %.0f / %.0f\n",
-        "", bench::fmtMs(r.runs.coldBuildSeconds).c_str(),
-        bench::fmtMs(r.runs.warmBuildSeconds).c_str(), r.runs.derefHits,
+        "%-22s peak table bytes/rank %9.0f (one entry per element: %9.0f)   "
+        "deref cache hits/misses: %.0f / %.0f\n",
+        r.name, r.runs.peakTableBytes, elementwiseTableBytes, r.runs.derefHits,
         r.runs.derefMisses);
   }
 
@@ -247,34 +226,15 @@ int main(int argc, char** argv) {
   report.config("side", static_cast<double>(kSide));
   report.config("elements", static_cast<double>(n));
   report.config("reps", kReps);
-  const char* jsonNames[] = {"regular_to_regular", "regular_to_irregular",
-                             "irregular_to_irregular"};
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    obs::BenchReport::Case& cs = report.addCase(jsonNames[i]);
-    cs.metric("elementwise.build_seconds", r.elem.buildSeconds);
-    cs.metric("elementwise.cold_build_seconds", r.elem.coldBuildSeconds);
-    cs.metric("elementwise.warm_build_seconds", r.elem.warmBuildSeconds);
-    cs.metric("elementwise.peak_table_bytes", r.elem.peakTableBytes);
-    cs.metric("elementwise.deref_cache_hits", r.elem.derefHits);
-    cs.metric("elementwise.deref_cache_misses", r.elem.derefMisses);
+  for (const Result& r : results) {
+    obs::BenchReport::Case& cs = report.addCase(r.jsonName);
     cs.metric("run_native.build_seconds", r.runs.buildSeconds);
     cs.metric("run_native.cold_build_seconds", r.runs.coldBuildSeconds);
     cs.metric("run_native.warm_build_seconds", r.runs.warmBuildSeconds);
     cs.metric("run_native.peak_table_bytes", r.runs.peakTableBytes);
     cs.metric("run_native.deref_cache_hits", r.runs.derefHits);
     cs.metric("run_native.deref_cache_misses", r.runs.derefMisses);
-    cs.metric("build_speedup", r.runs.buildSeconds > 0
-                                   ? r.elem.buildSeconds / r.runs.buildSeconds
-                                   : 0.0);
-    cs.metric("warm_build_speedup",
-              r.runs.warmBuildSeconds > 0
-                  ? r.elem.warmBuildSeconds / r.runs.warmBuildSeconds
-                  : 0.0);
-    cs.metric("table_bytes_ratio",
-              r.runs.peakTableBytes > 0
-                  ? r.elem.peakTableBytes / r.runs.peakTableBytes
-                  : 0.0);
+    cs.metric("elementwise_table_bytes", elementwiseTableBytes);
   }
   report.write("BENCH_schedule_build.json");
   std::printf("\nwrote BENCH_schedule_build.json\n");

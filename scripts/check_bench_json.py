@@ -64,6 +64,12 @@ REQUIRED_FINITE = {
     # and speedup 1.0 — finite, never null.
     "snapshot": ("restore_bytes", "restore_entries",
                  "first_request_speedup"),
+    # Inspector evidence: a build report without its build time, its
+    # measured table footprint and the one-entry-per-element reference
+    # footprint cannot support a build-speed or table-memory claim.
+    "schedule_build": ("run_native.build_seconds",
+                       "run_native.peak_table_bytes",
+                       "elementwise_table_bytes"),
 }
 
 # benchmark name -> metrics each of its cases must report as non-empty

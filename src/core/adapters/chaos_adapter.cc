@@ -4,7 +4,6 @@
 
 #include "chaos/deref_cache.h"
 #include "core/adapters/run_emitter.h"
-#include "core/schedule_builder.h"
 
 namespace mc::core {
 
@@ -100,14 +99,10 @@ std::vector<LinLoc> ChaosAdapter::enumerateOwned(const DistObject& obj,
     base += rn;
   }
 
-  // The production path resolves its slice through the batched per-rank
-  // dereference cache; the element-wise oracle pipeline keeps the uncached
-  // per-element dereference so the differential benches compare the real
-  // inspector costs.
+  // The slice resolves through the batched per-rank dereference cache, so
+  // a repeat build of the same set asks the table's home ranks nothing.
   const std::vector<ElementLoc> locs =
-      testing::buildElementwiseEnabled()
-          ? table.dereference(comm, sliceGlobals)
-          : table.dereferenceCached(comm, sliceGlobals);
+      table.dereferenceCached(comm, sliceGlobals);
 
   // Route (lin, offset) to each element's owner.
   struct Rec {
@@ -121,10 +116,9 @@ std::vector<LinLoc> ChaosAdapter::enumerateOwned(const DistObject& obj,
   }
   auto rows = comm.alltoall(toOwner);
   std::vector<LinLoc> out;
-  // Slices are position-ordered, so concatenating rows in sender order
-  // yields... records from sender s cover slice s; within a slice they are
-  // ascending.  Senders are visited 0..np-1, and slice s's positions all
-  // precede slice s+1's, so the concatenation is globally sorted by lin.
+  // Records from sender s cover slice s, ascending within it, and slice
+  // s's positions all precede slice s+1's; concatenating the rows in
+  // sender order 0..np-1 therefore yields a list sorted by lin.
   for (const auto& row : rows) {
     for (const Rec& rec : row) out.push_back(LinLoc{rec.lin, rec.offset});
   }

@@ -1,7 +1,6 @@
 #include "core/schedule_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -16,7 +15,6 @@ using sched::OffsetRun;
 
 namespace {
 
-std::atomic<bool> g_buildElementwise{false};
 thread_local BuildStats g_buildStats;
 thread_local PatchStats g_patchStats;
 // Monotone per-rank build telemetry for the obs registry (g_buildStats
@@ -112,9 +110,9 @@ void noteBuildDone() {
 // to count-1 runs, whose cost profile the paper's Chaos experiments show.
 //
 // Ownership runs ship as core::LinRun (the adapter inquiry type — the
-// sender is implied by the lane); both builder pipelines produce identical
-// streams, since the run-wise append helpers replicate the element-wise
-// coalescing greedy exactly.
+// sender is implied by the lane).  Every stream is built by a cut-invariant
+// greedy, so its bytes depend only on the element sequence it encodes,
+// never on how an enumeration happened to cut that sequence into runs.
 // ---------------------------------------------------------------------------
 
 /// A source processor's marching order: `count` elements packed from
@@ -158,15 +156,17 @@ std::vector<std::vector<T>> interAlltoall(
 }
 
 // ---------------------------------------------------------------------------
-// Shared run-wise emission helpers.
+// Marching-order emission.
 //
-// Each replicates the corresponding element-wise greedy exactly (see
-// sched::appendOffsetRun for the argument): lanes come out bit-identical
-// no matter how the incoming element sequence is cut into runs.
+// A lane is one processor's SendRun or RecvRun stream in linearization
+// order.  Each append helper extends the tail iff the appended elements,
+// taken one at a time, would have (a count-1 tail infers its stride from
+// the next element; singletons canonicalize to stride 0), so a lane comes
+// out bit-identical no matter how the incoming element sequence is cut
+// into runs (see sched::appendOffsetRun for the argument).
 // ---------------------------------------------------------------------------
 
-/// Extends `lane` with a whole marching-order run, byte-identical to
-/// emitting its elements one at a time through the element-wise emitSend.
+/// Extends `lane` with a whole marching-order run.
 void appendSendRun(std::vector<SendRun>& lane, SendRun run) {
   while (run.count > 0) {
     if (!lane.empty()) {
@@ -207,7 +207,7 @@ void appendSendRun(std::vector<SendRun>& lane, SendRun run) {
   }
 }
 
-/// Run-wise form of the element-wise emitRecv greedy.
+/// Extends `lane` with a whole receive run.
 void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run) {
   while (run.count > 0) {
     if (!lane.empty()) {
@@ -240,6 +240,49 @@ void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run) {
   }
 }
 
+/// Single-element appendSendRun, the fast path for count-1 join segments
+/// (fully irregular data, where almost every segment is one element).
+void emitSend(std::vector<SendRun>& lane, Index lin, Index srcOff,
+              Index dstOff, Index dstOwner) {
+  if (!lane.empty()) {
+    SendRun& run = lane.back();
+    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.srcStride = srcOff - run.srcOff;
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (srcOff == run.srcOff + run.count * run.srcStride &&
+          dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(SendRun{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
+}
+
+/// Single-element appendRecvRun, the count-1 fast path.
+void emitRecv(std::vector<RecvRun>& lane, Index lin, Index dstOff,
+              Index srcOwner) {
+  if (!lane.empty()) {
+    RecvRun& run = lane.back();
+    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(RecvRun{lin, dstOff, 1, 0, srcOwner});
+}
+
 /// Routes a processor's owned runs into per-chunk LinRun streams, splitting
 /// runs at chunk boundaries (runs never cross chunks on the wire).
 std::vector<std::vector<LinRun>> routeRunsToChunks(
@@ -259,8 +302,11 @@ std::vector<std::vector<LinRun>> routeRunsToChunks(
   return to;
 }
 
-/// Element-wise variant of routeRunsToChunks, used by the reference
-/// pipeline; produces identical streams for identical element sequences.
+/// Routes owned elements into per-chunk LinRun streams, coalescing as it
+/// goes — the same streams enumerateOwnedRuns + routeRunsToChunks would
+/// produce, in one pass.  The intra-program cooperation build takes this
+/// path for a side that dereferences collectively (Chaos with a distributed
+/// table), whose owned elements arrive one by one.
 std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
                                                Index chunk, int nChunks) {
   std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
@@ -274,11 +320,10 @@ std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
 // ---------------------------------------------------------------------------
 // Ownership tables.
 //
-// ChunkTable is the run-native form: a sorted interval table of
-// (positions, owner, offsets) runs covering the chunk exactly, filled
-// straight from LinRun streams without per-element expansion — O(runs)
-// memory.  ChunkInfo is the element-wise reference form kept behind
-// testing::buildElementwiseForTest — O(elements) memory.
+// A ChunkTable is one side's ownership over a position range: a sorted
+// interval table of (positions, owner, offsets) runs covering the range
+// exactly, filled straight from run streams without per-element expansion,
+// so its memory is O(runs).
 // ---------------------------------------------------------------------------
 
 /// One ownership run of a chunk: positions [lin, lin+count) owned by
@@ -375,6 +420,22 @@ struct ChunkTable {
   std::size_t tableBytes() const { return runs.size() * sizeof(OwnedRun); }
 };
 
+/// One side's complete ownership table over positions [lo, hi), enumerated
+/// locally through the adapter's run inquiry (the descriptor must support
+/// local enumeration).
+ChunkTable rangeTable(const LibraryAdapter& lib, const DistObject& obj,
+                      const SetOfRegions& set, Index lo, Index hi,
+                      const char* side) {
+  ChunkTable table(lo, hi - lo);
+  lib.enumerateRangeRuns(
+      obj, set, lo, hi,
+      [&](Index lin, int owner, Index off, Index count, Index offStride) {
+        table.append(lin, owner, off, count, offStride, side);
+      });
+  table.checkComplete(side);
+  return table;
+}
+
 /// Two-pointer interval join over two ownership tables covering the same
 /// position range: fn(srcRun, dstRun, pos, count) is called once per
 /// maximal segment on which both owners (and both offset progressions) are
@@ -404,210 +465,125 @@ Index offAt(const OwnedRun& r, Index pos) {
   return r.off + (pos - r.lin) * r.offStride;
 }
 
-/// One chunk's joined ownership table — the element-wise reference form.
-struct ChunkInfo {
-  Index lo = 0;
-  Index size = 0;
-  // at[k] = {owner, offset} for position lo + k; owner -1 = unset.
-  std::vector<int> owner;
-  std::vector<Index> offset;
-
-  explicit ChunkInfo(Index lo_, Index size_)
-      : lo(lo_),
-        size(size_),
-        owner(static_cast<size_t>(size_), -1),
-        offset(static_cast<size_t>(size_), 0) {}
-
-  void put(Index lin, int who, Index off, const char* side) {
-    MC_REQUIRE(lin >= lo && lin < lo + size,
-               "%s element at position %lld routed to the wrong chunk", side,
-               static_cast<long long>(lin));
-    const auto k = static_cast<size_t>(lin - lo);
-    MC_REQUIRE(owner[k] == -1, "%s linearization visits position %lld twice",
-               side, static_cast<long long>(lin));
-    owner[k] = who;
-    offset[k] = off;
-  }
-
-  void fillFromRuns(const std::vector<std::vector<LinRun>>& rows,
-                    const char* side) {
-    for (size_t sender = 0; sender < rows.size(); ++sender) {
-      for (const LinRun& run : rows[sender]) {
-        for (Index k = 0; k < run.count; ++k) {
-          put(run.lin + k, static_cast<int>(sender),
-              run.off + k * run.offStride, side);
-        }
+/// The paper's pairing rule applied to two joined tables: every maximal
+/// segment becomes a marching order in the lane sendLane(srcOwner) selects
+/// and a receive record in the lane recvLane(srcOwner, dstOwner) selects.
+/// A selector returns nullptr to skip the record (a lane the caller does not
+/// keep, or a processor-local copy, which needs no receive).
+template <typename SendLane, typename RecvLane>
+void joinToSegs(const ChunkTable& src, const ChunkTable& dst,
+                SendLane&& sendLane, RecvLane&& recvLane) {
+  joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+                           Index count) {
+    const Index srcOff = offAt(s, pos);
+    const Index dstOff = offAt(d, pos);
+    if (std::vector<SendRun>* lane = sendLane(s.owner)) {
+      if (count == 1) {
+        emitSend(*lane, pos, srcOff, dstOff, d.owner);
+      } else {
+        appendSendRun(*lane, SendRun{pos, srcOff, dstOff, count, s.offStride,
+                                     d.offStride, static_cast<Index>(d.owner)});
       }
     }
-  }
-
-  void checkComplete(const char* side) const {
-    for (Index k = 0; k < size; ++k) {
-      MC_REQUIRE(owner[static_cast<size_t>(k)] != -1,
-                 "%s linearization skips position %lld", side,
-                 static_cast<long long>(lo + k));
-    }
-  }
-
-  std::size_t tableBytes() const {
-    return static_cast<size_t>(size) * (sizeof(int) + sizeof(Index));
-  }
-};
-
-/// Extends or starts a SendRun in `lane` (element-wise reference emitter).
-void emitSend(std::vector<SendRun>& lane, Index lin, Index srcOff,
-              Index dstOff, Index dstOwner) {
-  if (!lane.empty()) {
-    SendRun& run = lane.back();
-    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.srcStride = srcOff - run.srcOff;
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (srcOff == run.srcOff + run.count * run.srcStride &&
-          dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
+    if (std::vector<RecvRun>* lane = recvLane(s.owner, d.owner)) {
+      if (count == 1) {
+        emitRecv(*lane, pos, dstOff, s.owner);
+      } else {
+        appendRecvRun(*lane, RecvRun{pos, dstOff, count, d.offStride,
+                                     static_cast<Index>(s.owner)});
       }
     }
-  }
-  lane.push_back(SendRun{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
+  });
 }
 
-/// Extends or starts a RecvRun in `lane` (element-wise reference emitter).
-void emitRecv(std::vector<RecvRun>& lane, Index lin, Index dstOff,
-              Index srcOwner) {
-  if (!lane.empty()) {
-    RecvRun& run = lane.back();
-    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(RecvRun{lin, dstOff, 1, 0, srcOwner});
+/// joinToSegs for a caller that keeps only its own provenance: the
+/// segments rank `me` sources (local copies included) and the ones it
+/// receives from another rank.
+void joinOwnSegs(const ChunkTable& src, const ChunkTable& dst, int me,
+                 std::vector<SendSeg>& sendOut, std::vector<RecvSeg>& recvOut) {
+  joinToSegs(
+      src, dst,
+      [&](int s) { return s == me ? &sendOut : nullptr; },
+      [&](int s, int d) { return d == me && s != me ? &recvOut : nullptr; });
 }
 
 // ---------------------------------------------------------------------------
 // Plan assembly.
 //
-// The run-native assemblers turn SendRun/RecvRun rows into runs-first
-// OffsetPlans without ever expanding an offset list; the element-wise
-// reference assemblers expand into per-element offsets (the historical
-// form).  Rows arrive chunk-ordered, so per-peer lanes stay in
-// linearization order either way.
+// Plans are assembled runs-first, never expanding an offset list: each
+// record's run is appended to its peer's OffsetRun lane, and one plan per
+// non-empty lane is emitted in ascending peer order.  Records arrive in
+// linearization order, so every lane does too.
 // ---------------------------------------------------------------------------
 
-void assembleSendsRuns(const std::vector<std::vector<SendRun>>& rows, int me,
-                       bool allowLocal, sched::Schedule& plan,
-                       std::vector<SendSeg>* segs = nullptr) {
-  std::vector<std::vector<OffsetRun>> byPeer;
-  for (const auto& row : rows) {
-    for (const SendRun& run : row) {
-      // Rows arrive chunk-ordered and chunk-internally sorted, so the
-      // stream is globally lin-sorted; re-appending re-coalesces across
-      // chunk seams into the canonical provenance cut.
-      if (segs) appendSendRun(*segs, run);
-      if (allowLocal && run.dstOwner == me) {
-        sched::appendLocalRun(plan.localRuns,
-                              LocalRun{run.srcOff, run.dstOff, run.count,
-                                       run.srcStride, run.dstStride});
-        continue;
-      }
-      if (byPeer.size() <= static_cast<size_t>(run.dstOwner)) {
-        byPeer.resize(static_cast<size_t>(run.dstOwner) + 1);
-      }
-      sched::appendOffsetRun(byPeer[static_cast<size_t>(run.dstOwner)],
-                             OffsetRun{run.srcOff, run.count, run.srcStride});
+/// Per-peer OffsetRun lanes.
+class PeerLanes {
+ public:
+  void add(Index peer, OffsetRun run) {
+    const auto p = static_cast<size_t>(peer);
+    if (lanes_.size() <= p) lanes_.resize(p + 1);
+    sched::appendOffsetRun(lanes_[p], run);
+  }
+  /// Moves one plan per non-empty lane, ascending by peer, onto `plans`.
+  void emit(std::vector<sched::OffsetPlan>& plans) {
+    for (size_t p = 0; p < lanes_.size(); ++p) {
+      if (lanes_[p].empty()) continue;
+      plans.push_back(
+          sched::OffsetPlan{static_cast<int>(p), {}, std::move(lanes_[p])});
     }
   }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(byPeer[p])});
+
+ private:
+  std::vector<std::vector<OffsetRun>> lanes_;
+};
+
+/// Assembles an intra-program plan from a rank's provenance streams:
+/// marching orders to itself become local runs, the rest per-peer sends;
+/// receive records become per-peer receives.
+void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
+                      const std::vector<RecvSeg>& recvSegs, int me,
+                      sched::Schedule& plan) {
+  PeerLanes sendBy;
+  PeerLanes recvBy;
+  for (const SendSeg& g : sendSegs) {
+    if (g.dstOwner == static_cast<Index>(me)) {
+      sched::appendLocalRun(plan.localRuns,
+                            LocalRun{g.srcOff, g.dstOff, g.count, g.srcStride,
+                                     g.dstStride});
+    } else {
+      sendBy.add(g.dstOwner, OffsetRun{g.srcOff, g.count, g.srcStride});
+    }
   }
+  for (const RecvSeg& g : recvSegs) {
+    recvBy.add(g.srcOwner, OffsetRun{g.dstOff, g.count, g.dstStride});
+  }
+  sendBy.emit(plan.sends);
+  recvBy.emit(plan.recvs);
 }
 
+/// Assembles an inter-program sender's plans from its marching-order rows
+/// (chunk-ordered; no local copies across programs).
+void assembleSendsRuns(const std::vector<std::vector<SendRun>>& rows,
+                       sched::Schedule& plan) {
+  PeerLanes byPeer;
+  for (const auto& row : rows) {
+    for (const SendRun& run : row) {
+      byPeer.add(run.dstOwner, OffsetRun{run.srcOff, run.count, run.srcStride});
+    }
+  }
+  byPeer.emit(plan.sends);
+}
+
+/// Assembles an inter-program receiver's plans from its receive rows.
 void assembleRecvsRuns(const std::vector<std::vector<RecvRun>>& rows,
-                       sched::Schedule& plan,
-                       std::vector<RecvSeg>* segs = nullptr) {
-  std::vector<std::vector<OffsetRun>> byPeer;
+                       sched::Schedule& plan) {
+  PeerLanes byPeer;
   for (const auto& row : rows) {
     for (const RecvRun& run : row) {
-      if (segs) appendRecvRun(*segs, run);
-      if (byPeer.size() <= static_cast<size_t>(run.srcOwner)) {
-        byPeer.resize(static_cast<size_t>(run.srcOwner) + 1);
-      }
-      sched::appendOffsetRun(byPeer[static_cast<size_t>(run.srcOwner)],
-                             OffsetRun{run.dstOff, run.count, run.dstStride});
+      byPeer.add(run.srcOwner, OffsetRun{run.dstOff, run.count, run.dstStride});
     }
   }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(byPeer[p])});
-  }
-}
-
-void assembleSendsElementwise(const std::vector<std::vector<SendRun>>& rows,
-                              int me, bool allowLocal, sched::Schedule& plan,
-                              std::vector<SendSeg>* segs = nullptr) {
-  std::vector<std::vector<Index>> byPeer;
-  for (const auto& row : rows) {
-    for (const SendRun& run : row) {
-      if (segs) appendSendRun(*segs, run);
-      if (allowLocal && run.dstOwner == me) {
-        for (Index k = 0; k < run.count; ++k) {
-          plan.localPairs.emplace_back(run.srcOff + k * run.srcStride,
-                                       run.dstOff + k * run.dstStride);
-        }
-        continue;
-      }
-      if (byPeer.size() <= static_cast<size_t>(run.dstOwner)) {
-        byPeer.resize(static_cast<size_t>(run.dstOwner) + 1);
-      }
-      auto& offsets = byPeer[static_cast<size_t>(run.dstOwner)];
-      for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.srcOff + k * run.srcStride);
-      }
-    }
-  }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
-}
-
-void assembleRecvsElementwise(const std::vector<std::vector<RecvRun>>& rows,
-                              sched::Schedule& plan,
-                              std::vector<RecvSeg>* segs = nullptr) {
-  std::vector<std::vector<Index>> byPeer;
-  for (const auto& row : rows) {
-    for (const RecvRun& run : row) {
-      if (segs) appendRecvRun(*segs, run);
-      if (byPeer.size() <= static_cast<size_t>(run.srcOwner)) {
-        byPeer.resize(static_cast<size_t>(run.srcOwner) + 1);
-      }
-      auto& offsets = byPeer[static_cast<size_t>(run.srcOwner)];
-      for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.dstOff + k * run.dstStride);
-      }
-    }
-  }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
+  byPeer.emit(plan.recvs);
 }
 
 // ---------------------------------------------------------------------------
@@ -617,8 +593,8 @@ void assembleRecvsElementwise(const std::vector<std::vector<RecvRun>>& rows,
 /// Obtains one side's ownership info for this processor's chunk as a run
 /// table.  When the descriptor is locally enumerable the chunk owner
 /// computes it directly (no communication); otherwise the side performs the
-/// collective owned-runs enumeration and routes the results to chunk owners
-/// (Chaos with a distributed table — the expensive path the paper
+/// collective owned-element enumeration and routes the results to chunk
+/// owners (Chaos with a distributed table — the expensive path the paper
 /// measures).  Must be called by every processor of the program in either
 /// case.
 ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
@@ -626,56 +602,27 @@ ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
                            Index n, Index chunk, const char* side) {
   const int me = comm.rank();
   const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkTable table(lo, size);
+  const Index hi = std::max(lo, std::min(n, lo + chunk));
   if (lib.supportsLocalEnumeration(obj)) {
-    comm.compute([&] {
-      lib.enumerateRangeRuns(obj, set, lo, lo + size,
-                             [&](Index lin, int owner, Index off, Index count,
-                                 Index offStride) {
-                               table.append(lin, owner, off, count, offStride,
-                                            side);
-                             });
-    });
-  } else {
-    // Element routing coalesces into the identical LinRun wire stream that
-    // enumerateOwnedRuns + routeRunsToChunks would produce (the same greedy
-    // rule), in one pass instead of two — on fully irregular data the
-    // coalesce passes are the dominant build cost.
-    const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
-    auto rows = comm.alltoall(comm.computeValue(
-        [&] { return routeToChunks(owned, chunk, comm.size()); }));
-    comm.compute([&] { table.fillFromRows(rows, side); });
+    ChunkTable table = comm.computeValue(
+        [&] { return rangeTable(lib, obj, set, lo, hi, side); });
+    g_buildStats.ownershipTableBytes += table.tableBytes();
+    return table;
   }
-  comm.compute([&] { table.checkComplete(side); });
+  // Element routing coalesces into the identical LinRun wire stream that
+  // enumerateOwnedRuns + routeRunsToChunks would produce (the same greedy
+  // rule), in one pass instead of two — on fully irregular data the
+  // coalesce passes are the dominant build cost.
+  const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
+  auto rows = comm.alltoall(comm.computeValue(
+      [&] { return routeToChunks(owned, chunk, comm.size()); }));
+  ChunkTable table(lo, hi - lo);
+  comm.compute([&] {
+    table.fillFromRows(rows, side);
+    table.checkComplete(side);
+  });
   g_buildStats.ownershipTableBytes += table.tableBytes();
   return table;
-}
-
-/// Element-wise reference form of chunkTableIntra.
-ChunkInfo chunkInfoIntra(transport::Comm& comm, const LibraryAdapter& lib,
-                         const DistObject& obj, const SetOfRegions& set,
-                         Index n, Index chunk, const char* side) {
-  const int me = comm.rank();
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkInfo info(lo, size);
-  if (lib.supportsLocalEnumeration(obj)) {
-    comm.compute([&] {
-      lib.enumerateRange(obj, set, lo, lo + size,
-                         [&](Index lin, int owner, Index off) {
-                           info.put(lin, owner, off, side);
-                         });
-    });
-  } else {
-    const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
-    auto rows = comm.alltoall(comm.computeValue(
-        [&] { return routeToChunks(owned, chunk, comm.size()); }));
-    comm.compute([&] { info.fillFromRuns(rows, side); });
-  }
-  comm.compute([&] { info.checkComplete(side); });
-  g_buildStats.ownershipTableBytes += info.tableBytes();
-  return info;
 }
 
 // ---------------------------------------------------------------------------
@@ -707,79 +654,32 @@ McSchedule buildIntraCooperation(transport::Comm& comm,
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(np));
   std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
   comm.compute([&] {
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      const Index srcOff = offAt(s, pos);
-      const Index dstOff = offAt(d, pos);
-      if (count == 1) {
-        // Degenerate segment (fully irregular data): the single-element
-        // greedy appends produce the same lanes for less bookkeeping.
-        emitSend(sendTo[static_cast<size_t>(s.owner)], pos, srcOff, dstOff,
-                 d.owner);
-        if (d.owner != s.owner) {
-          emitRecv(recvTo[static_cast<size_t>(d.owner)], pos, dstOff, s.owner);
-        }
-        return;
-      }
-      appendSendRun(sendTo[static_cast<size_t>(s.owner)],
-                    SendRun{pos, srcOff, dstOff, count, s.offStride,
-                            d.offStride, static_cast<Index>(d.owner)});
-      if (d.owner != s.owner) {
-        appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
-                      RecvRun{pos, dstOff, count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-    });
+    joinToSegs(
+        src, dst, [&](int s) { return &sendTo[static_cast<size_t>(s)]; },
+        [&](int s, int d) {
+          return d != s ? &recvTo[static_cast<size_t>(d)] : nullptr;
+        });
   });
   auto mySends = comm.alltoall(sendTo);
   auto myRecvs = comm.alltoall(recvTo);
   comm.compute([&] {
-    assembleSendsRuns(mySends, me, /*allowLocal=*/true, out.plan,
-                      &out.sendSegs);
-    assembleRecvsRuns(myRecvs, out.plan, &out.recvSegs);
-  });
-  out.hasProvenance = true;
-  return out;
-}
-
-McSchedule buildIntraCooperationElementwise(
-    transport::Comm& comm, const LibraryAdapter& srcLib,
-    const DistObject& srcObj, const SetOfRegions& srcSet,
-    const LibraryAdapter& dstLib, const DistObject& dstObj,
-    const SetOfRegions& dstSet, Index n) {
-  McSchedule out;
-  out.numElements = n;
-  out.plan.bufferLocalCopies = false;
-  const int np = comm.size();
-  const int me = comm.rank();
-  const Index chunk = (n + np - 1) / np;
-
-  const ChunkInfo src =
-      chunkInfoIntra(comm, srcLib, srcObj, srcSet, n, chunk, "source");
-  const ChunkInfo dst =
-      chunkInfoIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
-
-  std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(np));
-  std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    for (Index k = 0; k < src.size; ++k) {
-      const auto kk = static_cast<size_t>(k);
-      const int sOwner = src.owner[kk];
-      const int dOwner = dst.owner[kk];
-      emitSend(sendTo[static_cast<size_t>(sOwner)], src.lo + k, src.offset[kk],
-               dst.offset[kk], dOwner);
-      if (dOwner != sOwner) {
-        emitRecv(recvTo[static_cast<size_t>(dOwner)], src.lo + k,
-                 dst.offset[kk], sOwner);
-      }
+    // Rows arrive chunk-ordered, so re-appending them re-coalesces across
+    // chunk seams into the canonical provenance cut.  Sized up front: on
+    // irregular data the streams hold about one record per element, and
+    // regrowing them would copy every record several times.
+    std::size_t nSend = 0;
+    std::size_t nRecv = 0;
+    for (const auto& row : mySends) nSend += row.size();
+    for (const auto& row : myRecvs) nRecv += row.size();
+    out.sendSegs.reserve(nSend);
+    out.recvSegs.reserve(nRecv);
+    for (const auto& row : mySends) {
+      for (const SendRun& run : row) appendSendRun(out.sendSegs, run);
     }
-  });
-  auto mySends = comm.alltoall(sendTo);
-  auto myRecvs = comm.alltoall(recvTo);
-  comm.compute([&] {
-    assembleSendsElementwise(mySends, me, /*allowLocal=*/true, out.plan,
-                             &out.sendSegs);
-    assembleRecvsElementwise(myRecvs, out.plan, &out.recvSegs);
+    for (const auto& row : myRecvs) {
+      for (const RecvRun& run : row) appendRecvRun(out.recvSegs, run);
+    }
+    assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
   return out;
@@ -810,140 +710,12 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
     // Two full ownership passes per processor — the 2x dereference cost the
     // paper attributes to duplication — with no communication, but as run
     // streams: the table stays O(runs), never O(elements).
-    ChunkTable src(0, n);
-    ChunkTable dst(0, n);
-    srcLib.enumerateRangeRuns(
-        srcObj, srcSet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          src.append(lin, owner, off, count, offStride, "source");
-        });
-    dstLib.enumerateRangeRuns(
-        dstObj, dstSet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          dst.append(lin, owner, off, count, offStride, "destination");
-        });
-    src.checkComplete("source");
-    dst.checkComplete("destination");
+    const ChunkTable src = rangeTable(srcLib, srcObj, srcSet, 0, n, "source");
+    const ChunkTable dst =
+        rangeTable(dstLib, dstObj, dstSet, 0, n, "destination");
     g_buildStats.ownershipTableBytes += src.tableBytes() + dst.tableBytes();
-    std::vector<std::vector<OffsetRun>> sendBy;
-    std::vector<std::vector<OffsetRun>> recvBy;
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      if (s.owner == me) {
-        appendSendRun(out.sendSegs,
-                      SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                              s.offStride, d.offStride,
-                              static_cast<Index>(d.owner)});
-      } else if (d.owner == me) {
-        appendRecvRun(out.recvSegs,
-                      RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-      if (s.owner == me && d.owner == me) {
-        sched::appendLocalRun(out.plan.localRuns,
-                              LocalRun{offAt(s, pos), offAt(d, pos), count,
-                                       s.offStride, d.offStride});
-      } else if (s.owner == me) {
-        if (sendBy.size() <= static_cast<size_t>(d.owner)) {
-          sendBy.resize(static_cast<size_t>(d.owner) + 1);
-        }
-        sched::appendOffsetRun(sendBy[static_cast<size_t>(d.owner)],
-                               OffsetRun{offAt(s, pos), count, s.offStride});
-      } else if (d.owner == me) {
-        if (recvBy.size() <= static_cast<size_t>(s.owner)) {
-          recvBy.resize(static_cast<size_t>(s.owner) + 1);
-        }
-        sched::appendOffsetRun(recvBy[static_cast<size_t>(s.owner)],
-                               OffsetRun{offAt(d, pos), count, d.offStride});
-      }
-    });
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        out.plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        out.plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-      }
-    }
-  });
-  out.hasProvenance = true;
-  return out;
-}
-
-McSchedule buildIntraDuplicationElementwise(
-    transport::Comm& comm, const LibraryAdapter& srcLib,
-    const DistObject& srcObj, const SetOfRegions& srcSet,
-    const LibraryAdapter& dstLib, const DistObject& dstObj,
-    const SetOfRegions& dstSet, Index n) {
-  MC_REQUIRE(srcLib.supportsLocalEnumeration(srcObj) &&
-                 dstLib.supportsLocalEnumeration(dstObj),
-             "the duplication method requires locally enumerable "
-             "descriptors on both sides; use cooperation instead");
-  McSchedule out;
-  out.numElements = n;
-  out.plan.bufferLocalCopies = false;
-  comm.advance(2.0 *
-               (srcLib.modeledElementDereferenceCost(srcObj) +
-                dstLib.modeledElementDereferenceCost(dstObj)) *
-               static_cast<double>(n) / comm.size());
-  const int me = comm.rank();
-  comm.compute([&] {
-    std::vector<int> srcOwner(static_cast<size_t>(n));
-    std::vector<Index> srcOff(static_cast<size_t>(n));
-    std::vector<int> dstOwner(static_cast<size_t>(n));
-    std::vector<Index> dstOff(static_cast<size_t>(n));
-    g_buildStats.ownershipTableBytes +=
-        2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    srcLib.enumerateAll(srcObj, srcSet, [&](Index lin, int owner, Index off) {
-      srcOwner[static_cast<size_t>(lin)] = owner;
-      srcOff[static_cast<size_t>(lin)] = off;
-    });
-    dstLib.enumerateAll(dstObj, dstSet, [&](Index lin, int owner, Index off) {
-      dstOwner[static_cast<size_t>(lin)] = owner;
-      dstOff[static_cast<size_t>(lin)] = off;
-    });
-    std::vector<std::vector<Index>> sendBy;
-    std::vector<std::vector<Index>> recvBy;
-    for (Index lin = 0; lin < n; ++lin) {
-      const auto ll = static_cast<size_t>(lin);
-      const int s = srcOwner[ll];
-      const int d = dstOwner[ll];
-      if (s == me) {
-        emitSend(out.sendSegs, lin, srcOff[ll], dstOff[ll],
-                 static_cast<Index>(d));
-      } else if (d == me) {
-        emitRecv(out.recvSegs, lin, dstOff[ll], static_cast<Index>(s));
-      }
-      if (s == me && d == me) {
-        out.plan.localPairs.emplace_back(srcOff[ll], dstOff[ll]);
-      } else if (s == me) {
-        if (sendBy.size() <= static_cast<size_t>(d)) {
-          sendBy.resize(static_cast<size_t>(d) + 1);
-        }
-        sendBy[static_cast<size_t>(d)].push_back(srcOff[ll]);
-      } else if (d == me) {
-        if (recvBy.size() <= static_cast<size_t>(s)) {
-          recvBy.resize(static_cast<size_t>(s) + 1);
-        }
-        recvBy[static_cast<size_t>(s)].push_back(dstOff[ll]);
-      }
-    }
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        out.plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(sendBy[p]), {}});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        out.plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(recvBy[p]), {}});
-      }
-    }
+    joinOwnSegs(src, dst, me, out.sendSegs, out.recvSegs);
+    assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
   return out;
@@ -1034,7 +806,7 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
                                      const LibraryAdapter& srcLib,
                                      const DistObject& srcObj,
                                      const SetOfRegions& srcSet,
-                                     int remoteProgram, bool elementwise) {
+                                     int remoteProgram) {
   McSchedule out;
   out.remoteProgram = remoteProgram;
   out.isSender = true;
@@ -1048,31 +820,16 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
   // happens — compactly, thanks to the run encoding).
   const int pd = comm.programInfo(remoteProgram).nprocs;
   const Index chunk = (n + pd - 1) / pd;
-  std::vector<std::vector<LinRun>> srcInfoTo;
-  if (elementwise) {
-    const std::vector<LinLoc> srcOwned =
-        srcLib.enumerateOwned(srcObj, srcSet, comm);
-    srcInfoTo =
-        comm.computeValue([&] { return routeToChunks(srcOwned, chunk, pd); });
-  } else {
-    const std::vector<LinRun> srcOwned =
-        srcLib.enumerateOwnedRuns(srcObj, srcSet, comm);
-    srcInfoTo = comm.computeValue(
-        [&] { return routeRunsToChunks(srcOwned, chunk, pd); });
-  }
-  (void)interAlltoall(comm, remoteProgram, srcInfoTo);
+  const std::vector<LinRun> srcOwned =
+      srcLib.enumerateOwnedRuns(srcObj, srcSet, comm);
+  (void)interAlltoall(comm, remoteProgram, comm.computeValue([&] {
+                        return routeRunsToChunks(srcOwned, chunk, pd);
+                      }));
 
   // Receive my marching orders back.
   const std::vector<std::vector<SendRun>> empty(static_cast<size_t>(pd));
   auto mySends = interAlltoall(comm, remoteProgram, empty);
-  comm.compute([&] {
-    if (elementwise) {
-      assembleSendsElementwise(mySends, comm.rank(), /*allowLocal=*/false,
-                               out.plan);
-    } else {
-      assembleSendsRuns(mySends, comm.rank(), /*allowLocal=*/false, out.plan);
-    }
-  });
+  comm.compute([&] { assembleSendsRuns(mySends, out.plan); });
   return out;
 }
 
@@ -1115,17 +872,9 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(ps));
   std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
   comm.compute([&] {
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      const Index srcOff = offAt(s, pos);
-      const Index dstOff = offAt(d, pos);
-      appendSendRun(sendTo[static_cast<size_t>(s.owner)],
-                    SendRun{pos, srcOff, dstOff, count, s.offStride,
-                            d.offStride, static_cast<Index>(d.owner)});
-      appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
-                    RecvRun{pos, dstOff, count, d.offStride,
-                            static_cast<Index>(s.owner)});
-    });
+    joinToSegs(
+        src, dst, [&](int s) { return &sendTo[static_cast<size_t>(s)]; },
+        [&](int, int d) { return &recvTo[static_cast<size_t>(d)]; });
   });
   (void)interAlltoall(comm, remoteProgram, sendTo);
   auto myRecvs = comm.alltoall(recvTo);
@@ -1133,59 +882,11 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
   return out;
 }
 
-McSchedule buildInterCooperationRecvElementwise(transport::Comm& comm,
-                                                const LibraryAdapter& dstLib,
-                                                const DistObject& dstObj,
-                                                const SetOfRegions& dstSet,
-                                                int remoteProgram) {
-  McSchedule out;
-  out.remoteProgram = remoteProgram;
-  out.isSender = false;
-  out.plan.bufferLocalCopies = false;
-  const Index n = dstSet.numElements();
-  out.numElements = n;
-  handshakeCount(comm, remoteProgram, n);
-
-  const int me = comm.rank();
-  const int np = comm.size();
-  const int ps = comm.programInfo(remoteProgram).nprocs;
-  const Index chunk = (n + np - 1) / np;
-
-  const std::vector<std::vector<LinRun>> emptyInfo(static_cast<size_t>(ps));
-  auto srcRows = interAlltoall(comm, remoteProgram, emptyInfo);
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkInfo src(lo, size);
-  comm.compute([&] {
-    src.fillFromRuns(srcRows, "source");
-    src.checkComplete("source");
-  });
-  g_buildStats.ownershipTableBytes += src.tableBytes();
-  const ChunkInfo dst =
-      chunkInfoIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
-
-  std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(ps));
-  std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    for (Index k = 0; k < size; ++k) {
-      const auto kk = static_cast<size_t>(k);
-      emitSend(sendTo[static_cast<size_t>(src.owner[kk])], lo + k,
-               src.offset[kk], dst.offset[kk], dst.owner[kk]);
-      emitRecv(recvTo[static_cast<size_t>(dst.owner[kk])], lo + k,
-               dst.offset[kk], src.owner[kk]);
-    }
-  });
-  (void)interAlltoall(comm, remoteProgram, sendTo);
-  auto myRecvs = comm.alltoall(recvTo);
-  comm.compute([&] { assembleRecvsElementwise(myRecvs, out.plan); });
-  return out;
-}
-
 McSchedule buildInterDuplication(transport::Comm& comm,
                                  const LibraryAdapter& myLib,
                                  const DistObject& myObj,
                                  const SetOfRegions& mySet, int remoteProgram,
-                                 bool isSender, bool elementwise) {
+                                 bool isSender) {
   MC_REQUIRE(myLib.supportsLocalEnumeration(myObj),
              "the duplication method requires locally enumerable "
              "descriptors; use cooperation instead");
@@ -1214,83 +915,21 @@ McSchedule buildInterDuplication(transport::Comm& comm,
                static_cast<double>(n) / comm.size());
 
   const int me = comm.rank();
-  if (!elementwise) {
-    comm.compute([&] {
-      ChunkTable my(0, n);
-      ChunkTable their(0, n);
-      myLib.enumerateRangeRuns(
-          myObj, mySet, 0, n,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            my.append(lin, owner, off, count, offStride, "local");
-          });
-      remoteLib.enumerateRangeRuns(
-          remoteObj, remoteSet, 0, n,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            their.append(lin, owner, off, count, offStride, "remote");
-          });
-      my.checkComplete("local");
-      their.checkComplete("remote");
-      g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
-      std::vector<std::vector<OffsetRun>> byPeer;
-      joinTables(my, their, [&](const OwnedRun& m, const OwnedRun& t,
-                                Index pos, Index count) {
-        if (m.owner != me) return;
-        if (byPeer.size() <= static_cast<size_t>(t.owner)) {
-          byPeer.resize(static_cast<size_t>(t.owner) + 1);
-        }
-        // Senders pack their own (source) offsets; receivers unpack into
-        // their own (destination) offsets.
-        sched::appendOffsetRun(byPeer[static_cast<size_t>(t.owner)],
-                               OffsetRun{offAt(m, pos), count, m.offStride});
-      });
-      for (size_t p = 0; p < byPeer.size(); ++p) {
-        if (byPeer[p].empty()) continue;
-        sched::OffsetPlan plan{static_cast<int>(p), {}, std::move(byPeer[p])};
-        if (isSender) {
-          out.plan.sends.push_back(std::move(plan));
-        } else {
-          out.plan.recvs.push_back(std::move(plan));
-        }
-      }
-    });
-    return out;
-  }
   comm.compute([&] {
-    std::vector<int> myOwner(static_cast<size_t>(n));
-    std::vector<Index> myOff(static_cast<size_t>(n));
-    std::vector<int> theirOwner(static_cast<size_t>(n));
-    std::vector<Index> theirOff(static_cast<size_t>(n));
-    g_buildStats.ownershipTableBytes +=
-        2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    myLib.enumerateAll(myObj, mySet, [&](Index lin, int owner, Index off) {
-      myOwner[static_cast<size_t>(lin)] = owner;
-      myOff[static_cast<size_t>(lin)] = off;
+    const ChunkTable my = rangeTable(myLib, myObj, mySet, 0, n, "local");
+    const ChunkTable their =
+        rangeTable(remoteLib, remoteObj, remoteSet, 0, n, "remote");
+    g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
+    // Senders pack their own (source) offsets; receivers unpack into their
+    // own (destination) offsets.
+    PeerLanes byPeer;
+    joinTables(my, their, [&](const OwnedRun& m, const OwnedRun& t,
+                              Index pos, Index count) {
+      if (m.owner == me) {
+        byPeer.add(t.owner, OffsetRun{offAt(m, pos), count, m.offStride});
+      }
     });
-    remoteLib.enumerateAll(remoteObj, remoteSet,
-                           [&](Index lin, int owner, Index off) {
-                             theirOwner[static_cast<size_t>(lin)] = owner;
-                             theirOff[static_cast<size_t>(lin)] = off;
-                           });
-    std::vector<std::vector<Index>> byPeer;
-    for (Index lin = 0; lin < n; ++lin) {
-      const auto ll = static_cast<size_t>(lin);
-      if (myOwner[ll] != me) continue;
-      const int peer = theirOwner[ll];
-      if (byPeer.size() <= static_cast<size_t>(peer)) {
-        byPeer.resize(static_cast<size_t>(peer) + 1);
-      }
-      byPeer[static_cast<size_t>(peer)].push_back(myOff[ll]);
-      (void)theirOff;
-    }
-    for (size_t p = 0; p < byPeer.size(); ++p) {
-      if (byPeer[p].empty()) continue;
-      sched::OffsetPlan plan{static_cast<int>(p), std::move(byPeer[p]), {}};
-      if (isSender) {
-        out.plan.sends.push_back(std::move(plan));
-      } else {
-        out.plan.recvs.push_back(std::move(plan));
-      }
-    }
+    byPeer.emit(isSender ? out.plan.sends : out.plan.recvs);
   });
   return out;
 }
@@ -1407,61 +1046,9 @@ std::size_t buildFreshSegs(int me, const LibraryAdapter& srcLib,
     src[k].checkComplete("source");
     dst[k].checkComplete("destination");
     tableBytes += src[k].tableBytes() + dst[k].tableBytes();
-    joinTables(src[k], dst[k], [&](const OwnedRun& s, const OwnedRun& d,
-                                   Index pos, Index count) {
-      if (s.owner == me) {
-        appendSendRun(sendOut,
-                      SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                              s.offStride, d.offStride,
-                              static_cast<Index>(d.owner)});
-      } else if (d.owner == me) {
-        appendRecvRun(recvOut,
-                      RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-    });
+    joinOwnSegs(src[k], dst[k], me, sendOut, recvOut);
   }
   return tableBytes;
-}
-
-/// Assembles runs-first plans from a schedule's provenance streams — the
-/// same per-peer greedy the builders use, so the plans come out identical
-/// to a fresh build's.
-void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
-                      const std::vector<RecvSeg>& recvSegs, int me,
-                      sched::Schedule& plan) {
-  std::vector<std::vector<OffsetRun>> sendBy;
-  std::vector<std::vector<OffsetRun>> recvBy;
-  for (const SendSeg& g : sendSegs) {
-    if (g.dstOwner == static_cast<Index>(me)) {
-      sched::appendLocalRun(plan.localRuns,
-                            LocalRun{g.srcOff, g.dstOff, g.count, g.srcStride,
-                                     g.dstStride});
-      continue;
-    }
-    if (sendBy.size() <= static_cast<size_t>(g.dstOwner)) {
-      sendBy.resize(static_cast<size_t>(g.dstOwner) + 1);
-    }
-    sched::appendOffsetRun(sendBy[static_cast<size_t>(g.dstOwner)],
-                           OffsetRun{g.srcOff, g.count, g.srcStride});
-  }
-  for (const RecvSeg& g : recvSegs) {
-    if (recvBy.size() <= static_cast<size_t>(g.srcOwner)) {
-      recvBy.resize(static_cast<size_t>(g.srcOwner) + 1);
-    }
-    sched::appendOffsetRun(recvBy[static_cast<size_t>(g.srcOwner)],
-                           OffsetRun{g.dstOff, g.count, g.dstStride});
-  }
-  for (size_t p = 0; p < sendBy.size(); ++p) {
-    if (sendBy[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-  }
-  for (size_t p = 0; p < recvBy.size(); ++p) {
-    if (recvBy[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-  }
 }
 
 }  // namespace
@@ -1482,21 +1069,12 @@ McSchedule computeSchedule(transport::Comm& comm, const DistObject& srcObj,
              "source and destination sets differ in size (%lld vs %lld)",
              static_cast<long long>(n),
              static_cast<long long>(dstSet.numElements()));
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
-  McSchedule out;
-  if (method == Method::kDuplication) {
-    out = elementwise
-              ? buildIntraDuplicationElementwise(comm, srcLib, srcObj, srcSet,
-                                                 dstLib, dstObj, dstSet, n)
-              : buildIntraDuplication(comm, srcLib, srcObj, srcSet, dstLib,
-                                      dstObj, dstSet, n);
-  } else {
-    out = elementwise
-              ? buildIntraCooperationElementwise(comm, srcLib, srcObj, srcSet,
-                                                 dstLib, dstObj, dstSet, n)
-              : buildIntraCooperation(comm, srcLib, srcObj, srcSet, dstLib,
-                                      dstObj, dstSet, n);
-  }
+  McSchedule out =
+      method == Method::kDuplication
+          ? buildIntraDuplication(comm, srcLib, srcObj, srcSet, dstLib, dstObj,
+                                  dstSet, n)
+          : buildIntraCooperation(comm, srcLib, srcObj, srcSet, dstLib, dstObj,
+                                  dstSet, n);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1510,13 +1088,12 @@ McSchedule computeScheduleSend(transport::Comm& comm, const DistObject& srcObj,
   g_buildStats = BuildStats{};
   const LibraryAdapter& srcLib = adapterFor(srcObj);
   srcLib.validate(srcObj, srcSet);
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
   McSchedule out =
       method == Method::kDuplication
           ? buildInterDuplication(comm, srcLib, srcObj, srcSet, remoteProgram,
-                                  /*isSender=*/true, elementwise)
+                                  /*isSender=*/true)
           : buildInterCooperationSend(comm, srcLib, srcObj, srcSet,
-                                      remoteProgram, elementwise);
+                                      remoteProgram);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1530,17 +1107,12 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
   g_buildStats = BuildStats{};
   const LibraryAdapter& dstLib = adapterFor(dstObj);
   dstLib.validate(dstObj, dstSet);
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
-  McSchedule out;
-  if (method == Method::kDuplication) {
-    out = buildInterDuplication(comm, dstLib, dstObj, dstSet, remoteProgram,
-                                /*isSender=*/false, elementwise);
-  } else {
-    out = elementwise ? buildInterCooperationRecvElementwise(
-                            comm, dstLib, dstObj, dstSet, remoteProgram)
-                      : buildInterCooperationRecv(comm, dstLib, dstObj,
-                                                  dstSet, remoteProgram);
-  }
+  McSchedule out =
+      method == Method::kDuplication
+          ? buildInterDuplication(comm, dstLib, dstObj, dstSet, remoteProgram,
+                                  /*isSender=*/false)
+          : buildInterCooperationRecv(comm, dstLib, dstObj, dstSet,
+                                      remoteProgram);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1657,20 +1229,8 @@ layout::DistDelta computeDelta(const DistObject& oldObj,
   const Index n = set.numElements();
   layout::DistDelta delta;
   if (n == 0) return delta;
-  ChunkTable a(0, n);
-  ChunkTable b(0, n);
-  oldLib.enumerateRangeRuns(
-      oldObj, set, 0, n,
-      [&](Index lin, int owner, Index off, Index count, Index offStride) {
-        a.append(lin, owner, off, count, offStride, "old");
-      });
-  newLib.enumerateRangeRuns(
-      newObj, set, 0, n,
-      [&](Index lin, int owner, Index off, Index count, Index offStride) {
-        b.append(lin, owner, off, count, offStride, "new");
-      });
-  a.checkComplete("old");
-  b.checkComplete("new");
+  const ChunkTable a = rangeTable(oldLib, oldObj, set, 0, n, "old");
+  const ChunkTable b = rangeTable(newLib, newObj, set, 0, n, "new");
   joinTables(a, b, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
                        Index count) {
     // A segment is unchanged iff owner and offset progression agree; when
@@ -1747,60 +1307,15 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
                 newLib.modeledElementDereferenceCost(newObj)) *
                static_cast<double>(migrated) / comm.size());
   comm.compute([&] {
-    std::vector<std::vector<OffsetRun>> sendBy;
-    std::vector<std::vector<OffsetRun>> recvBy;
-    for (const layout::LinInterval& ivRaw : delta.intervals()) {
-      const Index lo = std::max<Index>(0, ivRaw.lo);
-      const Index hi = std::min(n, ivRaw.hi);
-      if (hi <= lo) continue;
-      ChunkTable src(lo, hi - lo);
-      ChunkTable dst(lo, hi - lo);
-      oldLib.enumerateRangeRuns(
-          oldObj, set, lo, hi,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            src.append(lin, owner, off, count, offStride, "old");
-          });
-      newLib.enumerateRangeRuns(
-          newObj, set, lo, hi,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            dst.append(lin, owner, off, count, offStride, "new");
-          });
-      src.checkComplete("old");
-      dst.checkComplete("new");
+    std::vector<SendSeg> sendSegs;
+    std::vector<RecvSeg> recvSegs;
+    forEachDeltaRange(delta, n, [&](Index lo, Index hi) {
+      const ChunkTable src = rangeTable(oldLib, oldObj, set, lo, hi, "old");
+      const ChunkTable dst = rangeTable(newLib, newObj, set, lo, hi, "new");
       g_buildStats.ownershipTableBytes += src.tableBytes() + dst.tableBytes();
-      joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d,
-                               Index pos, Index count) {
-        if (s.owner == me && d.owner == me) {
-          sched::appendLocalRun(plan.localRuns,
-                                LocalRun{offAt(s, pos), offAt(d, pos), count,
-                                         s.offStride, d.offStride});
-        } else if (s.owner == me) {
-          if (sendBy.size() <= static_cast<size_t>(d.owner)) {
-            sendBy.resize(static_cast<size_t>(d.owner) + 1);
-          }
-          sched::appendOffsetRun(sendBy[static_cast<size_t>(d.owner)],
-                                 OffsetRun{offAt(s, pos), count, s.offStride});
-        } else if (d.owner == me) {
-          if (recvBy.size() <= static_cast<size_t>(s.owner)) {
-            recvBy.resize(static_cast<size_t>(s.owner) + 1);
-          }
-          sched::appendOffsetRun(recvBy[static_cast<size_t>(s.owner)],
-                                 OffsetRun{offAt(d, pos), count, d.offStride});
-        }
-      });
-    }
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-      }
-    }
+      joinOwnSegs(src, dst, me, sendSegs, recvSegs);
+    });
+    assembleFromSegs(sendSegs, recvSegs, me, plan);
   });
   recordKernelDispatch(plan);
   noteBuildDone();
@@ -1810,14 +1325,5 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
 const BuildStats& lastBuildStats() { return g_buildStats; }
 
 const PatchStats& lastPatchStats() { return g_patchStats; }
-
-namespace testing {
-bool buildElementwiseForTest(bool enable) {
-  return g_buildElementwise.exchange(enable, std::memory_order_relaxed);
-}
-bool buildElementwiseEnabled() {
-  return g_buildElementwise.load(std::memory_order_relaxed);
-}
-}  // namespace testing
 
 }  // namespace mc::core

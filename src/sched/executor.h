@@ -11,14 +11,19 @@
 //   per-peer plan byte counts     pack runs straight into a pooled
 //   recv slots indexed by         payload buffer, move it into the
 //     source global rank          Message (zero copies), drain receives
-//   persistent free-buffer list   in *arrival order*, unpack straight
+//   one send buffer per payload   in *arrival order*, unpack straight
 //                                 out of the Message payload, recycle
 //                                 the buffer for the next step's sends
 //
-// In steady state a run() performs no transport-layer payload copies and —
-// for schedules whose send and receive volumes match, e.g. ghost exchanges —
-// no payload heap allocations: each received buffer becomes one of the next
-// step's send buffers.  TrafficStats{bytesCopied, allocations} observe this.
+// In steady state a run() performs no transport-layer payload copies and no
+// payload heap allocations: a received buffer of a size class this rank
+// sends in becomes one of its next step's send buffers, and every other
+// buffer returns to the world pool, where the rank that sends in its class
+// finds it.  Buffers serve only messages of their own size class; each
+// executor takes one buffer per sent payload at bind and returns what it
+// holds to the pool when destroyed, so the world's buffer population never
+// shrinks and the pool stops allocating once it covers a run's sends.
+// TrafficStats{bytesCopied, allocations} observe this.
 //
 // Arrival-order drain (the only drain): receives match any rank of the
 // peer program (Comm::recvMsgAnyOf) and are routed to their plan by the
@@ -117,6 +122,23 @@ class Executor {
     MC_REQUIRE(sched && sched->sends.empty() &&
                sched->localElementCount() == 0);
     return Executor(comm, sched.get(), sched, remoteProgram);
+  }
+
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+  Executor(Executor&&) = default;
+  Executor& operator=(Executor&&) = default;
+  /// Returns the payload buffers still held to the world pool, so a
+  /// short-lived executor (sched::execute) leaves the world's buffer
+  /// population as it found it rather than freeing buffers other ranks'
+  /// next sends count on.
+  ~Executor() {
+    for (std::vector<std::byte>& buf : freeBufs_) {
+      comm_->releasePayload(std::move(buf));
+    }
+    for (std::vector<std::byte>& buf : stash_) {
+      comm_->releasePayload(std::move(buf));
+    }
   }
 
   const Schedule& schedule() const { return *sched_; }
@@ -315,7 +337,10 @@ class Executor {
     bind();
   }
 
-  void bind() { bindReusing(nullptr, nullptr, nullptr); }
+  void bind() {
+    bindReusing(nullptr, nullptr, nullptr);
+    bindSendBuffers();
+  }
 
   /// Fills all bind-time state for sched_.  When `old` (plus its compiled
   /// kernels) is given, plans identical to the old schedule's plan for the
@@ -400,11 +425,39 @@ class Executor {
     sched_ = sched;
     keepAlive_ = std::move(keep);
     bindReusing(old, &oldSendKernels, &oldRecvKernels);
-    // Trim the retained buffers to the new steady-state demand (one per
-    // send plan); the overflow returns to the world pool.
-    while (freeBufs_.size() > sched_->sends.size()) {
-      comm_->releasePayload(std::move(freeBufs_.back()));
-      freeBufs_.pop_back();
+    bindSendBuffers();
+  }
+
+  /// Fixes the pool size class of every payload one run sends and holds
+  /// one buffer per sent payload from bind on: retained buffers of a class
+  /// the schedule sends in are kept (the rest return to the world pool),
+  /// and the missing ones are acquired now, before this executor sends
+  /// anything.  A run's first sends then start from buffers in hand rather
+  /// than racing other ranks' drains to the pool for them.
+  void bindSendBuffers() {
+    sendClasses_.clear();
+    std::vector<std::size_t> payloadBytes;
+    if (!agg_) {
+      payloadBytes = sendPlanBytes_;
+    } else {
+      for (const std::size_t i : directSendIdx_) {
+        payloadBytes.push_back(kAggMsgHeaderBytes + sendPlanBytes_[i]);
+      }
+      for (const AggGroup& g : aggGroups_) payloadBytes.push_back(g.frameBytes);
+    }
+    for (const std::size_t nbytes : payloadBytes) {
+      if (nbytes > 0) {
+        sendClasses_.push_back(transport::BufferPool::classFor(nbytes));
+      }
+    }
+    std::vector<std::vector<std::byte>> held = std::move(freeBufs_);
+    freeBufs_.clear();
+    for (std::vector<std::byte>& buf : held) recycle(std::move(buf));
+    for (const std::size_t nbytes : payloadBytes) {
+      if (nbytes > 0 &&
+          wantsBuffer(transport::BufferPool::classFor(nbytes))) {
+        freeBufs_.push_back(comm_->acquirePayload(nbytes));
+      }
     }
   }
 
@@ -535,35 +588,47 @@ class Executor {
     }
   }
 
-  /// A payload buffer with size() == nbytes: best-fit from the executor's
-  /// own recycled buffers (deterministic — no cross-thread state), falling
-  /// back to the world pool.
+  /// A payload buffer with size() == nbytes: one of the executor's own
+  /// recycled buffers of the request's pool size class (deterministic — no
+  /// cross-thread state), else one from the world pool.  A larger buffer is
+  /// never lent to a smaller message: that would leave a later message of
+  /// the larger class short, and the pool would allocate for it.
   std::vector<std::byte> obtainBuffer(std::size_t nbytes) {
-    std::size_t best = freeBufs_.size();
+    const std::size_t cls = transport::BufferPool::classFor(nbytes);
     for (std::size_t i = 0; i < freeBufs_.size(); ++i) {
-      if (freeBufs_[i].capacity() < nbytes) continue;
-      if (best == freeBufs_.size() ||
-          freeBufs_[i].capacity() < freeBufs_[best].capacity()) {
-        best = i;
+      if (transport::BufferPool::capacityClass(freeBufs_[i].capacity()) !=
+          cls) {
+        continue;
       }
+      std::vector<std::byte> buf = std::move(freeBufs_[i]);
+      freeBufs_.erase(freeBufs_.begin() + static_cast<std::ptrdiff_t>(i));
+      buf.resize(nbytes);  // capacity covers the class: no reallocation
+      return buf;
     }
-    if (best == freeBufs_.size()) return comm_->acquirePayload(nbytes);
-    std::vector<std::byte> buf = std::move(freeBufs_[best]);
-    freeBufs_.erase(freeBufs_.begin() +
-                    static_cast<std::ptrdiff_t>(best));
-    buf.resize(nbytes);  // capacity suffices: no reallocation
-    return buf;
+    return comm_->acquirePayload(nbytes);
   }
 
-  /// Parks a drained payload for the next step's sends (up to one buffer
-  /// per send plan — the steady-state demand); overflow recycles through
-  /// the world pool so other ranks can reuse the capacity.
+  /// Parks a drained payload for the next step's sends while this executor
+  /// holds fewer buffers of its size class than a run sends in that class;
+  /// any other payload recycles through the world pool.
   void recycle(std::vector<std::byte>&& payload) {
-    if (freeBufs_.size() < sched_->sends.size()) {
+    if (payload.capacity() > 0 &&
+        wantsBuffer(
+            transport::BufferPool::capacityClass(payload.capacity()))) {
       freeBufs_.push_back(std::move(payload));
     } else {
       comm_->releasePayload(std::move(payload));
     }
+  }
+
+  /// Whether this executor holds fewer buffers of pool class `cls` than a
+  /// run sends in it.
+  bool wantsBuffer(std::size_t cls) const {
+    const auto inClass = [cls](const std::vector<std::byte>& b) {
+      return transport::BufferPool::capacityClass(b.capacity()) == cls;
+    };
+    return std::count(sendClasses_.begin(), sendClasses_.end(), cls) >
+           std::count_if(freeBufs_.begin(), freeBufs_.end(), inClass);
   }
 
   // --- local transfers ------------------------------------------------------
@@ -853,6 +918,7 @@ class Executor {
   int remoteProgram_;  // -1 for intra-program executors
 
   std::vector<std::size_t> sendPlanBytes_;  // per send plan, fixed at bind
+  std::vector<std::size_t> sendClasses_;    // pool class per sent payload
   std::vector<RecvSlot> slots_;             // sorted by srcGlobal
   std::vector<PlanKernel> sendKernels_;     // compiled at bind, per plan
   std::vector<PlanKernel> recvKernels_;

@@ -73,9 +73,7 @@ class BufferPool {
   /// Buffers beyond the per-class bound are simply freed.
   void release(std::vector<std::byte>&& buf) {
     if (buf.capacity() == 0) return;
-    // Class the buffer by the largest class its capacity fully covers, so
-    // an acquire from that class never needs to reallocate.
-    const std::size_t cls = std::bit_width(buf.capacity()) - 1;
+    const std::size_t cls = capacityClass(buf.capacity());
     if (cls >= kNumClasses) return;
     buf.clear();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -98,6 +96,13 @@ class BufferPool {
   static std::size_t classFor(std::size_t nbytes) {
     const std::size_t w = std::bit_width(nbytes - 1);
     return w < kMinClass ? kMinClass : w;
+  }
+
+  /// The class a released buffer of `capacity` (> 0) parks in: the largest
+  /// class its capacity fully covers, so an acquire from that class never
+  /// needs to reallocate.
+  static std::size_t capacityClass(std::size_t capacity) {
+    return static_cast<std::size_t>(std::bit_width(capacity)) - 1;
   }
 
  private:

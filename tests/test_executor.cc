@@ -5,6 +5,7 @@
 // throughout.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -165,6 +166,57 @@ TEST(Executor, SteadyStateHasZeroCopiesAndZeroAllocations) {
     EXPECT_EQ(s.messagesSent, kSteps * ex.schedule().sends.size());
     EXPECT_EQ(s.messagesReceived, kSteps * ex.schedule().recvs.size());
   });
+}
+
+/// Ring schedule: rank r sends elems[r] elements to rank r+1 and receives
+/// elems[r-1] from rank r-1.
+Schedule ringSchedule(int me, const std::array<Index, 3>& elems) {
+  Schedule s;
+  s.bufferLocalCopies = false;
+  OffsetPlan send;
+  send.peer = (me + 1) % 3;
+  for (Index i = 0; i < elems[static_cast<size_t>(me)]; ++i) {
+    send.offsets.push_back(i);
+  }
+  s.sends.push_back(std::move(send));
+  OffsetPlan recv;
+  recv.peer = (me + 2) % 3;
+  for (Index i = 0; i < elems[static_cast<size_t>((me + 2) % 3)]; ++i) {
+    recv.offsets.push_back(i);
+  }
+  s.recvs.push_back(std::move(recv));
+  return s;
+}
+
+// A short-lived executor (sched::execute binds one per call) returns the
+// buffers it still holds to the world pool when it goes away, so the
+// world's buffer population never shrinks: the pool allocates only while
+// it holds fewer buffers of a class than one call sends in it, at most
+// once per payload over any number of calls.  (Were the buffers freed,
+// every call would allocate again.)  Two rings: one where each rank
+// receives a payload of the size class it sends in (the executor keeps
+// it), one where no rank does (every send buffer comes through the pool).
+TEST(Executor, OneShotExecutesKeepThePoolStocked) {
+  constexpr int kCalls = 10;
+  for (const std::array<Index, 3> elems :
+       {std::array<Index, 3>{256, 256, 256},
+        std::array<Index, 3>{16, 256, 4096}}) {
+    World::runSPMD(3, [&](Comm& c) {
+      const Schedule s = ringSchedule(c.rank(), elems);
+      std::vector<double> src(4096, 1.0), dst(4096, 0.0);
+      std::uint64_t allocations = 0;
+      for (int call = 0; call < kCalls; ++call) {
+        // Every rank's previous call has drained before any rank sends.
+        c.barrier();
+        const auto before = c.stats();
+        execute<double>(c, s, src, dst, c.nextUserTag());
+        allocations += (c.stats() - before).allocations;
+      }
+      const double total = c.allreduceSum(static_cast<double>(allocations));
+      EXPECT_LE(total, 3.0) << "ring " << elems[0] << "/" << elems[1] << "/"
+                            << elems[2];
+    });
+  }
 }
 
 TEST(Executor, IrregularGatherScatterAddMatchesReference) {

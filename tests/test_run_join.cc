@@ -1,14 +1,15 @@
-// Differential property suite for the run-native schedule builder.
+// Schedule-builder suite against the sequential linearization oracle.
 //
-// The Meta-Chaos builder has two pipelines: the run-native interval join
-// (default) and the element-wise reference path kept behind
-// core::testing::buildElementwiseForTest.  They must produce bitwise
-// identical schedules — same peers, same element order, and (after
-// compressing the element-wise plans) the exact same run lists — for every
-// ordered library pair, both build methods, intra- and inter-program, and
-// for adversarial irregular index sets (stride-0 fan-out, descending runs,
-// singletons straddling chunk boundaries).  Also checks the adapter
-// run-enumeration contract: expanded run streams equal the element streams.
+// Every build — all 16 ordered library pairs x both methods intra-program,
+// every source/destination pair x both methods inter-program, and
+// adversarial irregular index sets (stride-0 fan-out, descending runs,
+// singletons straddling chunk boundaries) — is compared with
+// tests/oracles/schedule_oracle.h, which pairs the i-th source element
+// with the i-th destination element and shares no code with the builder:
+// same peers in the same order, identical element sequences, the exact
+// run lists of the compressed oracle offsets and, intra-program, the same
+// expanded provenance.  Also checks the adapter run-enumeration contract:
+// expanded run streams equal the element streams.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,6 +21,7 @@
 #include "core/adapters/parti_adapter.h"
 #include "core/adapters/tulip_adapter.h"
 #include "core/data_move.h"
+#include "oracles/schedule_oracle.h"
 #include "transport/world.h"
 #include "util/rng.h"
 
@@ -56,6 +58,9 @@ double valueOf(Index globalId) {
 struct Instance {
   DistObject obj;
   SetOfRegions set;
+  /// A locally enumerable descriptor placing every element as `obj` does
+  /// (obj itself, or a distributed Chaos table's replicated twin).
+  DistObject oracleObj;
   std::vector<Index> setGlobalIds;  // linearization position -> global id
   std::function<std::span<double>()> raw;
   std::function<std::vector<double>()> gather;  // by global id
@@ -68,6 +73,7 @@ Instance makeParti(Comm& c) {
   arr->fillByPoint([](const Point& p) { return valueOf(p[0] * 12 + p[1]); });
   Instance inst{PartiAdapter::describe(*arr),
                 SetOfRegions{},
+                PartiAdapter::describe(*arr),
                 {},
                 [arr]() { return arr->raw(); },
                 [arr]() { return arr->gatherGlobal(); },
@@ -96,6 +102,7 @@ Instance makeHpf(Comm& c) {
   arr->fillByPoint([](const Point& p) { return valueOf(p[0] * 30 + p[1]); });
   Instance inst{HpfAdapter::describe(*arr),
                 SetOfRegions{},
+                HpfAdapter::describe(*arr),
                 {},
                 [arr]() { return arr->raw(); },
                 [arr]() { return arr->gatherGlobal(); },
@@ -107,6 +114,17 @@ Instance makeHpf(Comm& c) {
   });
   MC_CHECK(static_cast<Index>(inst.setGlobalIds.size()) == kSetElems);
   return inst;
+}
+
+/// A replicated translation table built from the same partition as a
+/// distributed one: it places every element identically, and the oracle
+/// can enumerate it locally.  Collective.
+DistObject replicatedTwin(Comm& c, const std::vector<Index>& mine, Index n) {
+  return DistObject("chaos", std::make_shared<const chaos::TranslationTable>(
+                                 chaos::TranslationTable::build(
+                                     c, mine, n,
+                                     chaos::TranslationTable::Storage::
+                                         kReplicated)));
 }
 
 Instance makeChaos(Comm& c, bool replicated) {
@@ -121,6 +139,8 @@ Instance makeChaos(Comm& c, bool replicated) {
   arr->fillByGlobal([](Index g) { return valueOf(g); });
   Instance inst{ChaosAdapter::describe(*arr),
                 SetOfRegions{},
+                replicated ? ChaosAdapter::describe(*arr)
+                           : replicatedTwin(c, mine, n),
                 {},
                 [arr]() { return arr->raw(); },
                 [arr]() { return arr->gatherGlobal(); },
@@ -143,6 +163,7 @@ Instance makeTulip(Comm& c) {
   coll->forEachOwned([](Index g, double& v) { v = valueOf(g); });
   Instance inst{TulipAdapter::describe(*coll),
                 SetOfRegions{},
+                TulipAdapter::describe(*coll),
                 {},
                 [coll]() { return coll->raw(); },
                 [coll]() { return coll->gatherGlobal(); },
@@ -163,31 +184,14 @@ Instance makeInstance(Lib lib, Comm& c, bool chaosReplicated) {
   return makeParti(c);
 }
 
-/// Asserts the element-wise reference schedule and the run-native schedule
-/// describe identical plans: same peers, identical element sequences, and
-/// identical run lists once the element-wise form is compressed (the
-/// run-wise greedy equals the element-wise greedy bit for bit).
-void expectSameSchedule(const sched::Schedule& elem,
-                        const sched::Schedule& run) {
-  sched::Schedule compressedElem = elem;
-  compressedElem.compress();
-  ASSERT_EQ(elem.sends.size(), run.sends.size());
-  for (size_t i = 0; i < elem.sends.size(); ++i) {
-    EXPECT_EQ(elem.sends[i].peer, run.sends[i].peer);
-    EXPECT_EQ(elem.sends[i].expandedOffsets(), run.sends[i].expandedOffsets());
-    EXPECT_TRUE(compressedElem.sends[i].runs == run.sends[i].runs)
-        << "send runs differ for peer " << run.sends[i].peer;
+/// Per-rank oracle mismatches ("" where a rank agrees), collected inside
+/// the world so the assertions run on the test thread.
+using Mismatches = std::vector<std::string>;
+
+void expectNoMismatch(const Mismatches& mismatch, const std::string& what) {
+  for (size_t r = 0; r < mismatch.size(); ++r) {
+    EXPECT_EQ(mismatch[r], "") << what << " rank " << r;
   }
-  ASSERT_EQ(elem.recvs.size(), run.recvs.size());
-  for (size_t i = 0; i < elem.recvs.size(); ++i) {
-    EXPECT_EQ(elem.recvs[i].peer, run.recvs[i].peer);
-    EXPECT_EQ(elem.recvs[i].expandedOffsets(), run.recvs[i].expandedOffsets());
-    EXPECT_TRUE(compressedElem.recvs[i].runs == run.recvs[i].runs)
-        << "recv runs differ for peer " << run.recvs[i].peer;
-  }
-  EXPECT_EQ(elem.expandedLocalPairs(), run.expandedLocalPairs());
-  EXPECT_TRUE(compressedElem.localRuns == run.localRuns)
-      << "local runs differ";
 }
 
 struct PairCase {
@@ -196,34 +200,9 @@ struct PairCase {
   Method method;
 };
 
-std::vector<sched::Schedule> buildIntraPlans(const PairCase& tc, int np,
-                                             bool elementwise) {
-  const bool prev = testing::buildElementwiseForTest(elementwise);
-  std::vector<sched::Schedule> plans(static_cast<size_t>(np));
-  World::runSPMD(np, [&](Comm& c) {
-    const bool chaosReplicated = tc.method == Method::kDuplication;
-    Instance src = makeInstance(tc.src, c, chaosReplicated);
-    Instance dst = makeInstance(tc.dst, c, chaosReplicated);
-    plans[static_cast<size_t>(c.rank())] =
-        computeSchedule(c, src.obj, src.set, dst.obj, dst.set, tc.method).plan;
-  });
-  testing::buildElementwiseForTest(prev);
-  return plans;
-}
-
-class RunJoinDifferentialP : public ::testing::TestWithParam<PairCase> {};
-
-TEST_P(RunJoinDifferentialP, RunNativeMatchesElementwise) {
-  const PairCase tc = GetParam();
-  constexpr int kProcs = 4;
-  const auto elem = buildIntraPlans(tc, kProcs, /*elementwise=*/true);
-  const auto run = buildIntraPlans(tc, kProcs, /*elementwise=*/false);
-  for (int r = 0; r < kProcs; ++r) {
-    SCOPED_TRACE(std::string(libName(tc.src)) + "->" + libName(tc.dst) +
-                 " rank " + std::to_string(r));
-    expectSameSchedule(elem[static_cast<size_t>(r)],
-                       run[static_cast<size_t>(r)]);
-  }
+std::string caseName(const PairCase& tc) {
+  return std::string(libName(tc.src)) + "_to_" + libName(tc.dst) + "_" +
+         (tc.method == Method::kCooperation ? "coop" : "dup");
 }
 
 std::vector<PairCase> allPairs() {
@@ -238,79 +217,96 @@ std::vector<PairCase> allPairs() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPairs, RunJoinDifferentialP, ::testing::ValuesIn(allPairs()),
-    [](const ::testing::TestParamInfo<PairCase>& info) {
-      const PairCase& tc = info.param;
-      return std::string(libName(tc.src)) + "_to_" + libName(tc.dst) + "_" +
-             (tc.method == Method::kCooperation ? "coop" : "dup");
-    });
+std::string paramName(const ::testing::TestParamInfo<PairCase>& info) {
+  return caseName(info.param);
+}
+
+// --- intra-program ----------------------------------------------------------
+
+class RunJoinIntraP : public ::testing::TestWithParam<PairCase> {};
+
+TEST_P(RunJoinIntraP, MatchesLinearizationOracle) {
+  const PairCase tc = GetParam();
+  constexpr int kProcs = 4;
+  Mismatches mismatch(kProcs);
+  World::runSPMD(kProcs, [&](Comm& c) {
+    // Duplication needs locally enumerable descriptors; cooperation takes
+    // the collective-dereference path of a distributed Chaos table.
+    const bool chaosReplicated = tc.method == Method::kDuplication;
+    Instance src = makeInstance(tc.src, c, chaosReplicated);
+    Instance dst = makeInstance(tc.dst, c, chaosReplicated);
+    const McSchedule built =
+        computeSchedule(c, src.obj, src.set, dst.obj, dst.set, tc.method);
+    const reference::RankSchedule want = reference::expectedIntra(
+        reference::placementOf(src.oracleObj, src.set),
+        reference::placementOf(dst.oracleObj, dst.set), c.rank());
+    mismatch[static_cast<size_t>(c.rank())] =
+        reference::firstMismatch(built, want, /*provenance=*/true);
+  });
+  expectNoMismatch(mismatch, caseName(tc));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPairs, RunJoinIntraP,
+                         ::testing::ValuesIn(allPairs()), paramName);
 
 // --- inter-program ----------------------------------------------------------
 
-struct InterPlans {
-  std::vector<sched::Schedule> sendSide;
-  std::vector<sched::Schedule> recvSide;
-};
+class RunJoinInterProgramP : public ::testing::TestWithParam<PairCase> {};
 
-InterPlans buildInterPlans(Method method, bool elementwise) {
-  const bool prev = testing::buildElementwiseForTest(elementwise);
-  constexpr Index kRows = 8, kCols = 8;
-  const Index n = kRows * kCols;
-  InterPlans out{std::vector<sched::Schedule>(2),
-                 std::vector<sched::Schedule>(2)};
+// The source program runs on 2 ranks and the destination program on 3, so
+// the destination-side chunk seams (every 16 positions) cut through source
+// runs.
+TEST_P(RunJoinInterProgramP, MatchesLinearizationOracle) {
+  const PairCase tc = GetParam();
+  constexpr int kSrcProcs = 2;
+  constexpr int kDstProcs = 3;
+  const bool chaosReplicated = tc.method == Method::kDuplication;
+  std::vector<McSchedule> sendSide(kSrcProcs);
+  std::vector<McSchedule> recvSide(kDstProcs);
+  reference::Placement srcPlace;
+  reference::Placement dstPlace;
   World::run(
-      {ProgramSpec{"preg", 2,
+      {ProgramSpec{"source", kSrcProcs,
                    [&](Comm& c) {
-                     parti::BlockDistArray<double> a(
-                         c, Shape::of({kRows, kCols}), 1);
-                     SetOfRegions set;
-                     set.add(Region::section(
-                         RegularSection::box({0, 0}, {kRows - 1, kCols - 1})));
-                     out.sendSide[static_cast<size_t>(c.rank())] =
-                         computeScheduleSend(c, PartiAdapter::describe(a), set,
-                                             /*remoteProgram=*/1, method)
-                             .plan;
-                   }},
-       ProgramSpec{"pirreg", 2, [&](Comm& c) {
-                     const auto storage =
-                         method == Method::kDuplication
-                             ? chaos::TranslationTable::Storage::kReplicated
-                             : chaos::TranslationTable::Storage::kDistributed;
-                     const auto mine =
-                         chaos::randomPartition(n, c.size(), c.rank(), 3);
-                     auto table =
-                         std::make_shared<const chaos::TranslationTable>(
-                             chaos::TranslationTable::build(c, mine, n,
-                                                            storage));
-                     chaos::IrregArray<double> x(c, table, mine);
-                     SetOfRegions set;
-                     std::vector<Index> ids(static_cast<size_t>(n));
-                     for (Index k = 0; k < n; ++k) {
-                       ids[static_cast<size_t>(k)] = k;
+                     Instance inst = makeInstance(tc.src, c, chaosReplicated);
+                     sendSide[static_cast<size_t>(c.rank())] =
+                         computeScheduleSend(c, inst.obj, inst.set,
+                                             /*remoteProgram=*/1, tc.method);
+                     if (c.rank() == 0) {
+                       srcPlace =
+                           reference::placementOf(inst.oracleObj, inst.set);
                      }
-                     set.add(Region::indices(ids));
-                     out.recvSide[static_cast<size_t>(c.rank())] =
-                         computeScheduleRecv(c, ChaosAdapter::describe(x), set,
-                                             /*remoteProgram=*/0, method)
-                             .plan;
+                   }},
+       ProgramSpec{"destination", kDstProcs, [&](Comm& c) {
+                     Instance inst = makeInstance(tc.dst, c, chaosReplicated);
+                     recvSide[static_cast<size_t>(c.rank())] =
+                         computeScheduleRecv(c, inst.obj, inst.set,
+                                             /*remoteProgram=*/0, tc.method);
+                     if (c.rank() == 0) {
+                       dstPlace =
+                           reference::placementOf(inst.oracleObj, inst.set);
+                     }
                    }}});
-  testing::buildElementwiseForTest(prev);
-  return out;
+  Mismatches sendMismatch(kSrcProcs);
+  for (int r = 0; r < kSrcProcs; ++r) {
+    sendMismatch[static_cast<size_t>(r)] = reference::firstMismatch(
+        sendSide[static_cast<size_t>(r)],
+        reference::expectedInter(srcPlace, dstPlace, r, /*isSender=*/true),
+        /*provenance=*/false);
+  }
+  expectNoMismatch(sendMismatch, caseName(tc) + " sender");
+  Mismatches recvMismatch(kDstProcs);
+  for (int r = 0; r < kDstProcs; ++r) {
+    recvMismatch[static_cast<size_t>(r)] = reference::firstMismatch(
+        recvSide[static_cast<size_t>(r)],
+        reference::expectedInter(srcPlace, dstPlace, r, /*isSender=*/false),
+        /*provenance=*/false);
+  }
+  expectNoMismatch(recvMismatch, caseName(tc) + " receiver");
 }
 
-TEST(RunJoinInterProgram, RunNativeMatchesElementwise) {
-  for (Method m : {Method::kCooperation, Method::kDuplication}) {
-    const InterPlans elem = buildInterPlans(m, /*elementwise=*/true);
-    const InterPlans run = buildInterPlans(m, /*elementwise=*/false);
-    for (size_t r = 0; r < 2; ++r) {
-      SCOPED_TRACE(std::string(m == Method::kCooperation ? "coop" : "dup") +
-                   " rank " + std::to_string(r));
-      expectSameSchedule(elem.sendSide[r], run.sendSide[r]);
-      expectSameSchedule(elem.recvSide[r], run.recvSide[r]);
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(AllPairs, RunJoinInterProgramP,
+                         ::testing::ValuesIn(allPairs()), paramName);
 
 // --- fuzz: adversarial irregular index sets ---------------------------------
 
@@ -343,7 +339,7 @@ std::vector<Index> fuzzSrcIds(std::uint64_t seed, Index tableSize,
   return ids;
 }
 
-TEST(RunJoinFuzz, AdversarialChaosIndexSets) {
+TEST(RunJoinFuzz, AdversarialChaosIndexSetsMatchOracle) {
   constexpr int kProcs = 4;
   constexpr Index kTable = 96;
   constexpr Index kCount = 64;
@@ -357,62 +353,54 @@ TEST(RunJoinFuzz, AdversarialChaosIndexSets) {
           static_cast<Index>(dstPerm[static_cast<size_t>(k)]);
     }
 
-    auto build = [&](bool elementwise) {
-      const bool prev = testing::buildElementwiseForTest(elementwise);
-      std::vector<sched::Schedule> plans(kProcs);
-      std::vector<double> gathered;
-      World::runSPMD(kProcs, [&](Comm& c) {
-        const auto srcMine =
-            chaos::randomPartition(kTable, c.size(), c.rank(), seed + 11);
-        const auto dstMine =
-            chaos::randomPartition(kTable, c.size(), c.rank(), seed + 12);
-        auto srcTable = std::make_shared<const chaos::TranslationTable>(
-            chaos::TranslationTable::build(
-                c, srcMine, kTable,
-                chaos::TranslationTable::Storage::kDistributed));
-        auto dstTable = std::make_shared<const chaos::TranslationTable>(
-            chaos::TranslationTable::build(
-                c, dstMine, kTable,
-                chaos::TranslationTable::Storage::kDistributed));
-        chaos::IrregArray<double> src(c, srcTable, srcMine);
-        chaos::IrregArray<double> dst(c, dstTable, dstMine);
-        src.fillByGlobal([](Index g) { return valueOf(g); });
-        dst.fillByGlobal([](Index) { return -1.0; });
-        SetOfRegions srcSet, dstSet;
-        srcSet.add(Region::indices(srcIds));
-        dstSet.add(Region::indices(dstIds));
-        const McSchedule sched =
-            computeSchedule(c, ChaosAdapter::describe(src), srcSet,
-                            ChaosAdapter::describe(dst), dstSet);
-        plans[static_cast<size_t>(c.rank())] = sched.plan;
-        dataMove<double>(c, sched, src.raw(), dst.raw());
-        if (c.rank() == 0) gathered = dst.gatherGlobal();
-        else (void)dst.gatherGlobal();
-      });
-      testing::buildElementwiseForTest(prev);
-      return std::make_pair(std::move(plans), std::move(gathered));
-    };
-
-    const auto elem = build(/*elementwise=*/true);
-    const auto run = build(/*elementwise=*/false);
-    for (int r = 0; r < kProcs; ++r) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " rank " +
-                   std::to_string(r));
-      expectSameSchedule(elem.first[static_cast<size_t>(r)],
-                         run.first[static_cast<size_t>(r)]);
-    }
-    // Oracle on the run-native execution: destination id dstIds[k] holds
-    // the source value at the same linearization position k.
+    Mismatches mismatch(kProcs);
+    std::vector<double> gathered;
+    World::runSPMD(kProcs, [&](Comm& c) {
+      const auto srcMine =
+          chaos::randomPartition(kTable, c.size(), c.rank(), seed + 11);
+      const auto dstMine =
+          chaos::randomPartition(kTable, c.size(), c.rank(), seed + 12);
+      auto srcTable = std::make_shared<const chaos::TranslationTable>(
+          chaos::TranslationTable::build(
+              c, srcMine, kTable,
+              chaos::TranslationTable::Storage::kDistributed));
+      auto dstTable = std::make_shared<const chaos::TranslationTable>(
+          chaos::TranslationTable::build(
+              c, dstMine, kTable,
+              chaos::TranslationTable::Storage::kDistributed));
+      chaos::IrregArray<double> src(c, srcTable, srcMine);
+      chaos::IrregArray<double> dst(c, dstTable, dstMine);
+      src.fillByGlobal([](Index g) { return valueOf(g); });
+      dst.fillByGlobal([](Index) { return -1.0; });
+      SetOfRegions srcSet, dstSet;
+      srcSet.add(Region::indices(srcIds));
+      dstSet.add(Region::indices(dstIds));
+      const McSchedule sched =
+          computeSchedule(c, ChaosAdapter::describe(src), srcSet,
+                          ChaosAdapter::describe(dst), dstSet);
+      const reference::RankSchedule want = reference::expectedIntra(
+          reference::placementOf(replicatedTwin(c, srcMine, kTable), srcSet),
+          reference::placementOf(replicatedTwin(c, dstMine, kTable), dstSet),
+          c.rank());
+      mismatch[static_cast<size_t>(c.rank())] =
+          reference::firstMismatch(sched, want, /*provenance=*/true);
+      dataMove<double>(c, sched, src.raw(), dst.raw());
+      if (c.rank() == 0) gathered = dst.gatherGlobal();
+      else (void)dst.gatherGlobal();
+    });
+    expectNoMismatch(mismatch, "seed " + std::to_string(seed));
+    // The executed move: destination id dstIds[k] holds the source value at
+    // the same linearization position k.
     std::map<Index, double> expect;
     for (Index k = 0; k < kCount; ++k) {
       expect[dstIds[static_cast<size_t>(k)]] =
           valueOf(srcIds[static_cast<size_t>(k)]);
     }
-    ASSERT_EQ(run.second.size(), static_cast<size_t>(kTable));
-    for (size_t g = 0; g < run.second.size(); ++g) {
+    ASSERT_EQ(gathered.size(), static_cast<size_t>(kTable));
+    for (size_t g = 0; g < gathered.size(); ++g) {
       const auto it = expect.find(static_cast<Index>(g));
       const double want = it != expect.end() ? it->second : -1.0;
-      EXPECT_DOUBLE_EQ(run.second[g], want) << "global " << g;
+      EXPECT_DOUBLE_EQ(gathered[g], want) << "global " << g;
     }
   }
 }

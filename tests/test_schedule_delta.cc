@@ -22,6 +22,7 @@
 #include "hpfrt/hpf_array.h"
 #include "layout/dist_delta.h"
 #include "oracles/reference_executor.h"
+#include "oracles/schedule_oracle.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -395,42 +396,26 @@ TEST(ScheduleDelta, ExecutionBitwiseAgainstReferenceExecutor) {
   });
 }
 
-// The element-wise reference pipeline records the same provenance as the
-// run-native one (both re-coalesce through the same canonical greedy).
-TEST(ScheduleDelta, ElementwiseProvenanceParity) {
-  std::vector<McSchedule> runNative(kProcs);
-  std::vector<McSchedule> elementwise(kProcs);
-  const auto build = [](std::vector<McSchedule>& out) {
+// Both methods record the provenance the paper's pairing rule implies: the
+// expanded send and receive streams equal the sequential linearization
+// oracle's, and so do the plans.
+TEST(ScheduleDelta, ProvenanceMatchesLinearizationOracle) {
+  for (const Method method : {Method::kCooperation, Method::kDuplication}) {
+    std::vector<std::string> mismatch(kProcs);
     World::runSPMD(kProcs, [&](Comm& c) {
       Scenario s(c, 17u, 4);
-      out[static_cast<std::size_t>(c.rank())] =
-          computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
+      const McSchedule built =
+          computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet, method);
+      const reference::RankSchedule want = reference::expectedIntra(
+          reference::placementOf(s.oldSrc, s.srcSet),
+          reference::placementOf(s.dst, s.dstSet), c.rank());
+      mismatch[static_cast<std::size_t>(c.rank())] =
+          reference::firstMismatch(built, want, /*provenance=*/true);
     });
-  };
-  build(runNative);
-  const bool prev = testing::buildElementwiseForTest(true);
-  build(elementwise);
-  testing::buildElementwiseForTest(prev);
-  for (int r = 0; r < kProcs; ++r) {
-    const McSchedule& a = runNative[static_cast<std::size_t>(r)];
-    const McSchedule& b = elementwise[static_cast<std::size_t>(r)];
-    // Provenance is identical bit for bit; the plans agree element-wise
-    // (the reference pipeline emits expanded offsets, not runs).
-    EXPECT_EQ(a.sendSegs, b.sendSegs);
-    EXPECT_EQ(a.recvSegs, b.recvSegs);
-    EXPECT_TRUE(a.hasProvenance);
-    EXPECT_TRUE(b.hasProvenance);
-    ASSERT_EQ(a.plan.sends.size(), b.plan.sends.size());
-    for (std::size_t i = 0; i < a.plan.sends.size(); ++i) {
-      EXPECT_EQ(a.plan.sends[i].peer, b.plan.sends[i].peer);
-      EXPECT_EQ(a.plan.sends[i].expandedOffsets(),
-                b.plan.sends[i].expandedOffsets());
-    }
-    ASSERT_EQ(a.plan.recvs.size(), b.plan.recvs.size());
-    for (std::size_t i = 0; i < a.plan.recvs.size(); ++i) {
-      EXPECT_EQ(a.plan.recvs[i].peer, b.plan.recvs[i].peer);
-      EXPECT_EQ(a.plan.recvs[i].expandedOffsets(),
-                b.plan.recvs[i].expandedOffsets());
+    for (int r = 0; r < kProcs; ++r) {
+      EXPECT_EQ(mismatch[static_cast<std::size_t>(r)], "")
+          << (method == Method::kCooperation ? "coop" : "dup") << " rank "
+          << r;
     }
   }
 }
